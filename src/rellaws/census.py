@@ -1,15 +1,16 @@
 """Property and vector censuses over full or pruned enumerations.
 
-The per-relation predicates in `properties` are word-at-a-time; a census
-over all 2^25 five-element relations needs better than that, so this module
-evaluates properties on whole chunks of relation codes at once with numpy.
-Each predicate becomes a few boolean-tensor operations on a (B, n, n) block
-of adjacency matrices; a full unpruned n = 5 vector census is a pass over
-128 chunks rather than 33.5 million Python calls.
+A census over all 2^25 five-element relations needs more than one Python
+call per relation, so this module evaluates the predicates of `properties`
+on whole chunks of relation codes at once. A chunk is decoded into row and
+column words, one numpy uint8 array per element with one entry per code,
+and the same word-level predicates that `holds` runs on Python ints run on
+those arrays. A full unpruned n = 5 vector census is a pass over 128
+chunks, each tallied as it goes.
 
-The two evaluation routes (scalar `properties.holds` and the bulk kernels
-here) are independent enough to cross-check each other, and the tests do,
-exhaustively for small n.
+Since the bulk path and `holds` share their predicates, neither checks the
+other; the tests check both against `tests/naive.py`, an independent
+restatement of every property as a quantifier sweep over element tuples.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .enumeration import DEFAULT_CHUNK, iter_code_chunks
-from .properties import MINED_PROPERTIES, VECTOR_BITS, PropertyId
+from .properties import MINED_PROPERTIES, VECTOR_BITS, PropertyId, violation_words
 from .relation import NMAX
 
 CENSUS_FORMAT = "relcensus v1"
@@ -36,188 +37,43 @@ def matrices_from_codes(codes: np.ndarray, n: int) -> np.ndarray:
     return bits.astype(np.uint8).reshape(codes.shape[0], n, n)
 
 
-class _ChunkEval:
-    """Shared intermediates for bulk predicate evaluation on one chunk."""
-
-    def __init__(self, codes: np.ndarray, n: int):
-        self.n = n
-        self.R = matrices_from_codes(codes, n)
-        self.RT = self.R.transpose(0, 2, 1)
-        self._cache: dict[str, np.ndarray] = {}
-        self._eye = np.eye(n, dtype=np.uint8)
-
-    def _get(self, key: str, make) -> np.ndarray:
-        if key not in self._cache:
-            self._cache[key] = make()
-        return self._cache[key]
-
-    # intermediates; all uint8 0/1 except matmul products which stay counts
-    @property
-    def rowsum(self):
-        return self._get("rowsum", lambda: self.R.sum(2, dtype=np.int16))
-
-    @property
-    def colsum(self):
-        return self._get("colsum", lambda: self.R.sum(1, dtype=np.int16))
-
-    @property
-    def diag(self):
-        n = self.n
-        return self._get("diag", lambda: self.R[:, np.arange(n), np.arange(n)])
-
-    @property
-    def RR(self):
-        return self._get("RR", lambda: np.matmul(self.R, self.R))
-
-    @property
-    def comp(self):
-        # comparability, diagonal included iff x R x
-        return self._get("comp", lambda: self.R | self.RT)
-
-    @property
-    def inc(self):
-        # incomparability; has the diagonal whenever not x R x
-        return self._get("inc", lambda: np.uint8(1) - self.comp)
-
-    # predicate kernels, each (B,) bool -------------------------------------
-
-    def empty(self):
-        return ~self.R.any((1, 2))
-
-    def univ(self):
-        return self.R.all((1, 2))
-
-    def corefl(self):
-        off = self.R & (np.uint8(1) - self._eye)
-        return ~off.any((1, 2))
-
-    def lf_eucl(self):
-        prod = np.matmul(self.R, self.RT)
-        return ~((prod > 0) & (self.R == 0)).any((1, 2))
-
-    def rg_eucl(self):
-        prod = np.matmul(self.RT, self.R)
-        return ~((prod > 0) & (self.R == 0)).any((1, 2))
-
-    def lf_unique(self):
-        return (self.colsum <= 1).all(1)
-
-    def rg_unique(self):
-        return (self.rowsum <= 1).all(1)
-
-    def sym(self):
-        return (self.R == self.RT).all((1, 2))
-
-    def antitrans(self):
-        return ~((self.RR > 0) & (self.R == 1)).any((1, 2))
-
-    def asym(self):
-        return ~(self.R & self.RT).any((1, 2))
-
-    def connex(self):
-        return self.comp.all((1, 2))
-
-    def trans(self):
-        return ~((self.RR > 0) & (self.R == 0)).any((1, 2))
-
-    def semiord1(self):
-        m = np.matmul(np.matmul(self.R, self.inc), self.R)
-        return ~((m > 0) & (self.R == 0)).any((1, 2))
-
-    def irrefl(self):
-        return ~self.diag.any(1)
-
-    def refl(self):
-        return self.diag.all(1)
-
-    def lf_quasirefl(self):
-        return ~((self.rowsum > 0) & (self.diag == 0)).any(1)
-
-    def rg_quasirefl(self):
-        return ~((self.colsum > 0) & (self.diag == 0)).any(1)
-
-    def quasirefl(self):
-        return self.lf_quasirefl() & self.rg_quasirefl()
-
-    def antisym(self):
-        both = self.R & self.RT & (np.uint8(1) - self._eye)
-        return ~both.any((1, 2))
-
-    def semiconnex(self):
-        return (self.comp | self._eye).all((1, 2))
-
-    def inctrans(self):
-        ii = np.matmul(self.inc, self.inc)
-        return ~((ii > 0) & (self.inc == 0)).any((1, 2))
-
-    def semiord2(self):
-        n, inc = self.n, self.inc
-        b = self.R.shape[0]
-        # path[x, y, z] = x R y and y R z
-        path = self.R[:, :, :, None] & self.R[:, None, :, :]
-        # lonely[x, y, z] = some w incomparable to all of x, y, z
-        j = (inc[:, :, None, :] & inc[:, None, :, :]).reshape(b, n * n, n)
-        k = np.matmul(j, inc).reshape(b, n, n, n)
-        return ~(path & (k > 0)).any((1, 2, 3))
-
-    def quasitrans(self):
-        strict = self.R & (np.uint8(1) - self.RT)
-        ss = np.matmul(strict, strict)
-        return ~((ss > 0) & (strict == 0)).any((1, 2))
-
-    def dense(self):
-        return ~((self.R == 1) & (self.RR == 0)).any((1, 2))
-
-    def lf_serial(self):
-        return (self.colsum > 0).all(1)
-
-    def rg_serial(self):
-        return (self.rowsum > 0).all(1)
+def _pack(bits) -> np.ndarray:
+    # bit k of each word from the k-th 0/1 array
+    acc = 0
+    for k, b in enumerate(bits):
+        acc |= b << k
+    return acc
 
 
-_KERNELS = {
-    PropertyId.Empty: _ChunkEval.empty,
-    PropertyId.Univ: _ChunkEval.univ,
-    PropertyId.CoRefl: _ChunkEval.corefl,
-    PropertyId.LfEucl: _ChunkEval.lf_eucl,
-    PropertyId.RgEucl: _ChunkEval.rg_eucl,
-    PropertyId.LfUnique: _ChunkEval.lf_unique,
-    PropertyId.RgUnique: _ChunkEval.rg_unique,
-    PropertyId.Sym: _ChunkEval.sym,
-    PropertyId.AntiTrans: _ChunkEval.antitrans,
-    PropertyId.ASym: _ChunkEval.asym,
-    PropertyId.Connex: _ChunkEval.connex,
-    PropertyId.Trans: _ChunkEval.trans,
-    PropertyId.SemiOrd1: _ChunkEval.semiord1,
-    PropertyId.Irrefl: _ChunkEval.irrefl,
-    PropertyId.Refl: _ChunkEval.refl,
-    PropertyId.QuasiRefl: _ChunkEval.quasirefl,
-    PropertyId.AntiSym: _ChunkEval.antisym,
-    PropertyId.SemiConnex: _ChunkEval.semiconnex,
-    PropertyId.IncTrans: _ChunkEval.inctrans,
-    PropertyId.SemiOrd2: _ChunkEval.semiord2,
-    PropertyId.QuasiTrans: _ChunkEval.quasitrans,
-    PropertyId.Dense: _ChunkEval.dense,
-    PropertyId.LfSerial: _ChunkEval.lf_serial,
-    PropertyId.RgSerial: _ChunkEval.rg_serial,
-    PropertyId.LfQuasiRefl: _ChunkEval.lf_quasirefl,
-    PropertyId.RgQuasiRefl: _ChunkEval.rg_quasirefl,
-}
+def _words(codes: np.ndarray, n: int) -> tuple[list, list, int]:
+    """Row and column words of every code, one (B,) uint8 array per element."""
+    # cells[x, y] holds cell (x, y) of every code, contiguously
+    cells = np.ascontiguousarray(matrices_from_codes(codes, n).transpose(1, 2, 0))
+    rows = [_pack(cells[x]) for x in range(n)]
+    cols = [_pack(cells[:, y]) for y in range(n)]
+    return rows, cols, (1 << n) - 1
+
+
+def _holds(words, p: PropertyId) -> np.ndarray:
+    acc = np.zeros_like(words[0][0])
+    for w in violation_words(p, *words):
+        acc |= w
+    return acc == 0
 
 
 def bulk_holds(codes: np.ndarray, n: int,
                props: Iterable[PropertyId]) -> dict[PropertyId, np.ndarray]:
     """Evaluate the given properties on every code; one bool array each."""
-    ev = _ChunkEval(codes, n)
-    return {p: _KERNELS[p](ev) for p in props}
+    words = _words(codes, n)
+    return {p: _holds(words, p) for p in props}
 
 
 def bulk_vectors(codes: np.ndarray, n: int) -> np.ndarray:
     """24-bit property vectors for every code, as a uint32 array."""
-    ev = _ChunkEval(codes, n)
+    words = _words(codes, n)
     vecs = np.zeros(codes.shape[0], dtype=np.uint32)
     for p in MINED_PROPERTIES:
-        vecs |= _KERNELS[p](ev).astype(np.uint32) << np.uint32(p.value)
+        vecs |= _holds(words, p).astype(np.uint32) << np.uint32(p.value)
     return vecs
 
 
@@ -265,11 +121,12 @@ def vector_census(n: int, pruned: bool = False,
     """Census of property vectors over the chosen enumeration of size-n relations."""
     if not 1 <= n <= NMAX:
         raise ValueError(f"universe size must be between 1 and {NMAX}, got {n}")
-    parts = [bulk_vectors(chunk, n) for chunk in iter_code_chunks(n, pruned, chunk_size)]
-    all_vecs = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    values, counts = np.unique(all_vecs, return_counts=True)
-    return VectorCensus(
-        n, pruned, {int(v): int(c) for v, c in zip(values, counts)})
+    counts: dict[int, int] = {}
+    for chunk in iter_code_chunks(n, pruned, chunk_size):
+        values, chunk_counts = np.unique(bulk_vectors(chunk, n), return_counts=True)
+        for v, c in zip(values.tolist(), chunk_counts.tolist()):
+            counts[v] = counts.get(v, 0) + c
+    return VectorCensus(n, pruned, {v: counts[v] for v in sorted(counts)})
 
 
 def property_census(n: int, pruned: bool = False,

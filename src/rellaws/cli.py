@@ -13,6 +13,7 @@ refreshes it.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ from .census import (
     save_census,
     vector_census,
 )
-from .enumeration import enumerate_all, enumerate_normal
+from .enumeration import enumerate_all, enumerate_normal, normal_form_count
 from .mining import Law, law_line, laws_to_csv, mine
 from .properties import (
     MINED_PROPERTIES,
@@ -35,7 +36,7 @@ from .properties import (
     property_vector,
 )
 from .redundancy import flag_csv
-from .relation import Relation
+from .relation import NMAX, Relation
 from .search import (
     EXHAUSTIVE_MAX_N,
     DEFAULT_BUDGET,
@@ -101,13 +102,23 @@ def _cmd_props(args) -> int:
     return 0
 
 
+def _relation_count(n: int, pruned: bool) -> int:
+    if not 1 <= n <= NMAX:
+        raise _UsageError(f"universe size must be between 1 and {NMAX}, got {n}")
+    return normal_form_count(n) if pruned else 1 << n * n
+
+
 def _cmd_count(args) -> int:
-    count = enumerate_normal(args.n) if args.pruned else enumerate_all(args.n)
-    print(count)
+    print(_relation_count(args.n, args.pruned))
     return 0
 
 
 def _cmd_census(args) -> int:
+    if args.n >= (7 if args.pruned else 6):
+        count = _relation_count(args.n, args.pruned)
+        what = "normal forms" if args.pruned else "relations"
+        raise _UsageError(f"refusing a census of n = {args.n}: {count:,} {what}; "
+                          "the limit is n <= 5, or n <= 6 with --pruned")
     census = get_census(args.n, args.pruned, use_cache=not args.no_cache)
     if args.out == "-":
         save_census(census, sys.stdout)
@@ -133,13 +144,15 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_star(args) -> int:
-    out = sys.stdout if args.out == "-" else open(args.out, "w")
-    try:
-        with open(args.laws) as fp:
-            flags = flag_csv(fp, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    # --out is written only once the laws have been read and flagged
+    buf = io.StringIO()
+    with open(args.laws) as fp:
+        flags = flag_csv(fp, buf)
+    if args.out == "-":
+        sys.stdout.write(buf.getvalue())
+    else:
+        with open(args.out, "w") as fp:
+            fp.write(buf.getvalue())
     print(f"{sum(flags)} of {len(flags)} laws redundant", file=sys.stderr)
     return 0
 

@@ -17,6 +17,7 @@ in witness queries.
 from __future__ import annotations
 
 import enum
+from typing import Iterator
 
 from .relation import Relation
 
@@ -89,247 +90,196 @@ def parse_property(name: str) -> PropertyId:
         raise ValueError(f"unknown property {name!r}") from None
 
 
-# -- predicate implementations ---------------------------------------------
+# -- predicates as violation words ---------------------------------------------
 #
-# All of these work on the row bit masks. cols[y] is the mask over x of the
-# predecessors of y, i.e. the transposed rows.
+# Each predicate is written once, as a generator of violation words over the
+# row words rows[x] (bit y set iff x R y) and the column words cols[y] (bit x
+# set iff x R y); full has one bit per element. The predicate holds iff every
+# word is zero, and the total popcount of the words counts its violating
+# instances. The words use only & | ^ ~, shifts by an int, non-negative int
+# constants and -bit as an all-ones mask, so the same code runs on Python
+# ints (one relation) and on numpy uint8 arrays holding one word per
+# relation (a census chunk).
 
-def _cols(r: Relation) -> list[int]:
-    return [r.column(y) for y in range(r.n)]
-
-
-def _two_step(rows: list[int] | tuple[int, ...], n: int) -> list[int]:
-    # out[x] = union of rows[y] over y in rows[x]; bit z set iff some 2-path x->y->z
+def _product(a, b):
+    """Relational product: out[x] is the union of b[y] over the bits y of a[x]."""
     out = []
-    for x in range(n):
+    for ax in a:
         acc = 0
-        row = rows[x]
-        while row:
-            y = (row & -row).bit_length() - 1
-            acc |= rows[y]
-            row &= row - 1
+        for y, by in enumerate(b):
+            acc |= by & -(ax >> y & 1)
         out.append(acc)
     return out
 
 
-def _is_transitive(rows, n) -> bool:
-    for x in range(n):
-        acc = 0
-        row = rows[x]
-        while row:
-            y = (row & -row).bit_length() - 1
-            acc |= rows[y]
-            if acc & ~rows[x]:
-                return False
-            row &= row - 1
-    return True
-
-
-def _empty(r: Relation) -> bool:
-    return all(row == 0 for row in r.rows)
-
-
-def _univ(r: Relation) -> bool:
-    full = (1 << r.n) - 1
-    return all(row == full for row in r.rows)
-
-
-def _corefl(r: Relation) -> bool:
-    return all(r.rows[x] & ~(1 << x) == 0 for x in range(r.n))
-
-
-def _lf_eucl(r: Relation) -> bool:
-    # y R x and z R x imply y R z: common successor forces an edge
-    rows, n = r.rows, r.n
-    for y in range(n):
-        for z in range(n):
-            if rows[y] & rows[z] and not rows[y] >> z & 1:
-                return False
-    return True
-
-
-def _rg_eucl(r: Relation) -> bool:
-    # x R y and x R z imply y R z: common predecessor forces an edge
-    rows, n = r.rows, r.n
-    cols = _cols(r)
-    for y in range(n):
-        for z in range(n):
-            if cols[y] & cols[z] and not rows[y] >> z & 1:
-                return False
-    return True
-
-
-def _lf_unique(r: Relation) -> bool:
-    for y in range(r.n):
-        col = r.column(y)
-        if col & (col - 1):
-            return False
-    return True
-
-
-def _rg_unique(r: Relation) -> bool:
-    return all(row & (row - 1) == 0 for row in r.rows)
-
-
-def _sym(r: Relation) -> bool:
-    return list(r.rows) == _cols(r)
-
-
-def _antitrans(r: Relation) -> bool:
-    rows, n = r.rows, r.n
-    for x, reach in enumerate(_two_step(rows, n)):
-        if reach & rows[x]:
-            return False
-    return True
-
-
-def _asym(r: Relation) -> bool:
-    rows = r.rows
-    for x in range(r.n):
-        if rows[x] & r.column(x):
-            return False
-    return True
-
-
-def _connex(r: Relation) -> bool:
-    full = (1 << r.n) - 1
-    for x in range(r.n):
-        if r.rows[x] | r.column(x) != full:
-            return False
-    return True
-
-
-def _trans(r: Relation) -> bool:
-    return _is_transitive(r.rows, r.n)
-
-
-def _semiord1(r: Relation) -> bool:
-    # w R x, x and y incomparable, y R z imply w R z
-    rows, n = r.rows, r.n
-    full = (1 << n) - 1
-    cols = _cols(r)
-    inc = [~(rows[x] | cols[x]) & full for x in range(n)]
-    # t1[w] = union of inc[x] over x in rows[w]; t2[w] = union of rows[y] over y in t1[w]
-    t1 = _two_step_into(rows, inc, n)
-    t2 = _two_step_into(t1, rows, n)
-    return all(t2[w] & ~rows[w] == 0 for w in range(n))
-
-
-def _two_step_into(first: list[int] | tuple[int, ...], second: list[int], n: int) -> list[int]:
-    out = []
-    for x in range(n):
-        acc = 0
-        row = first[x]
-        while row:
-            y = (row & -row).bit_length() - 1
-            acc |= second[y]
-            row &= row - 1
-        out.append(acc)
-    return out
-
-
-def _irrefl(r: Relation) -> bool:
-    return all(not r.rows[x] >> x & 1 for x in range(r.n))
-
-
-def _refl(r: Relation) -> bool:
-    return all(r.rows[x] >> x & 1 for x in range(r.n))
-
-
-def _lf_quasirefl(r: Relation) -> bool:
-    # x R y implies x R x
-    return all(row == 0 or row >> x & 1 for x, row in enumerate(r.rows))
-
-
-def _rg_quasirefl(r: Relation) -> bool:
-    # x R y implies y R y
-    for y in range(r.n):
-        if r.column(y) and not r.rows[y] >> y & 1:
-            return False
-    return True
-
-
-def _quasirefl(r: Relation) -> bool:
-    return _lf_quasirefl(r) and _rg_quasirefl(r)
-
-
-def _antisym(r: Relation) -> bool:
-    for x in range(r.n):
-        if r.rows[x] & r.column(x) & ~(1 << x):
-            return False
-    return True
-
-
-def _semiconnex(r: Relation) -> bool:
-    full = (1 << r.n) - 1
-    for x in range(r.n):
-        if r.rows[x] | r.column(x) | (1 << x) != full:
-            return False
-    return True
-
-
-def _inctrans(r: Relation) -> bool:
-    # incomparability is transitive; inc[x] has bit x whenever not x R x
-    rows, n = r.rows, r.n
-    full = (1 << n) - 1
-    cols = _cols(r)
-    inc = [~(rows[x] | cols[x]) & full for x in range(n)]
-    return _is_transitive(inc, n)
-
-
-def _semiord2(r: Relation) -> bool:
-    # whenever x R y R z, every w is comparable to x, y, or z
-    rows, n = r.rows, r.n
-    full = (1 << n) - 1
-    cols = _cols(r)
-    comp = [rows[v] | cols[v] for v in range(n)]
-    for y in range(n):
-        preds, succs = cols[y], rows[y]
-        if not preds or not succs:
-            continue
-        p = preds
-        while p:
-            x = (p & -p).bit_length() - 1
-            p &= p - 1
-            m = comp[x] | comp[y]
-            if m == full:
-                continue
-            s = succs
-            while s:
-                z = (s & -s).bit_length() - 1
-                s &= s - 1
-                if m | comp[z] != full:
-                    return False
-    return True
-
-
-def _quasitrans(r: Relation) -> bool:
-    # the one-directional part of R is transitive
-    rows, n = r.rows, r.n
-    cols = _cols(r)
-    strict = [rows[x] & ~cols[x] for x in range(n)]
-    return _is_transitive(strict, n)
-
-
-def _dense(r: Relation) -> bool:
-    # x R z implies some y (possibly x or z) with x R y and y R z
-    rows, n = r.rows, r.n
-    for x, reach in enumerate(_two_step(rows, n)):
-        if rows[x] & ~reach:
-            return False
-    return True
-
-
-def _lf_serial(r: Relation) -> bool:
-    # every element has a predecessor
+def _union(words):
     acc = 0
-    for row in r.rows:
-        acc |= row
-    return acc == (1 << r.n) - 1
+    for w in words:
+        acc |= w
+    return acc
 
 
-def _rg_serial(r: Relation) -> bool:
-    return all(row != 0 for row in r.rows)
+def _diagonal(rows):
+    # bit x set iff x R x
+    acc = 0
+    for x, r in enumerate(rows):
+        acc |= r & (1 << x)
+    return acc
+
+
+def _above(x: int, full: int) -> int:
+    # the elements after x; symmetric conditions count each pair once
+    return full >> (x + 1) << (x + 1)
+
+
+def _incomparable(rows, cols, full):
+    # inc[x] has bit x whenever not x R x
+    return [full & ~(r | c) for r, c in zip(rows, cols)]
+
+
+def _transitivity(rel):
+    for r, reach in zip(rel, _product(rel, rel)):
+        yield reach & ~r
+
+
+def _empty(rows, cols, full):
+    yield from rows
+
+
+def _univ(rows, cols, full):
+    for r in rows:
+        yield full & ~r
+
+
+def _corefl(rows, cols, full):
+    for x, r in enumerate(rows):
+        yield r & (full ^ (1 << x))
+
+
+def _lf_eucl(rows, cols, full):
+    # y R x and z R x imply y R z: a common successor forces an edge
+    for r, reach in zip(rows, _product(rows, cols)):
+        yield reach & ~r
+
+
+def _rg_eucl(rows, cols, full):
+    # x R y and x R z imply y R z: a common predecessor forces an edge
+    for r, reach in zip(rows, _product(cols, rows)):
+        yield reach & ~r
+
+
+def _lf_unique(rows, cols, full):
+    # one bit fewer than the predecessors of each element
+    for c in cols:
+        yield c & (c - 1)
+
+
+def _rg_unique(rows, cols, full):
+    for r in rows:
+        yield r & (r - 1)
+
+
+def _sym(rows, cols, full):
+    for x, (r, c) in enumerate(zip(rows, cols)):
+        yield (r ^ c) & _above(x, full)
+
+
+def _antitrans(rows, cols, full):
+    for r, reach in zip(rows, _product(rows, rows)):
+        yield reach & r
+
+
+def _asym(rows, cols, full):
+    for r, c in zip(rows, cols):
+        yield r & c
+
+
+def _connex(rows, cols, full):
+    for r, c in zip(rows, cols):
+        yield full & ~(r | c)
+
+
+def _trans(rows, cols, full):
+    return _transitivity(rows)
+
+
+def _semiord1(rows, cols, full):
+    # w R x, x and y incomparable, y R z imply w R z
+    reach = _product(_product(rows, _incomparable(rows, cols, full)), rows)
+    for r, t in zip(rows, reach):
+        yield t & ~r
+
+
+def _irrefl(rows, cols, full):
+    for x, r in enumerate(rows):
+        yield r & (1 << x)
+
+
+def _refl(rows, cols, full):
+    for x, r in enumerate(rows):
+        yield ~r & (1 << x)
+
+
+def _lf_quasirefl(rows, cols, full):
+    # x R y implies x R x: the elements with a successor and no loop
+    yield _union(cols) & ~_diagonal(rows)
+
+
+def _rg_quasirefl(rows, cols, full):
+    # x R y implies y R y: the elements with a predecessor and no loop
+    yield _union(rows) & ~_diagonal(rows)
+
+
+def _quasirefl(rows, cols, full):
+    yield from _lf_quasirefl(rows, cols, full)
+    yield from _rg_quasirefl(rows, cols, full)
+
+
+def _antisym(rows, cols, full):
+    for x, (r, c) in enumerate(zip(rows, cols)):
+        yield r & c & _above(x, full)
+
+
+def _semiconnex(rows, cols, full):
+    for x, (r, c) in enumerate(zip(rows, cols)):
+        yield ~(r | c) & _above(x, full)
+
+
+def _inctrans(rows, cols, full):
+    # incomparability is transitive
+    return _transitivity(_incomparable(rows, cols, full))
+
+
+def _semiord2(rows, cols, full):
+    # whenever x R y R z, every w is comparable to x, y, or z; one word
+    # over z per (x, y)
+    inc = _incomparable(rows, cols, full)
+    for ix, rx in zip(inc, rows):
+        for y, (iy, ry) in enumerate(zip(inc, rows)):
+            # the z that share an incomparable w with both x and y
+            both = ix & iy
+            lonely = _union(iw & -(both >> w & 1) for w, iw in enumerate(inc))
+            yield ry & lonely & -(rx >> y & 1)
+
+
+def _quasitrans(rows, cols, full):
+    # the one-directional part of R is transitive
+    return _transitivity([r & ~c for r, c in zip(rows, cols)])
+
+
+def _dense(rows, cols, full):
+    # x R z implies some y (possibly x or z) with x R y and y R z
+    for r, reach in zip(rows, _product(rows, rows)):
+        yield r & ~reach
+
+
+def _lf_serial(rows, cols, full):
+    # the elements without a predecessor
+    yield full & ~_union(rows)
+
+
+def _rg_serial(rows, cols, full):
+    yield full & ~_union(cols)
 
 
 _PREDICATES = {
@@ -362,16 +312,39 @@ _PREDICATES = {
 }
 
 
+def violation_words(p: PropertyId, rows, cols, full: int) -> Iterator:
+    """The violation words of p over row and column words; all zero iff p holds."""
+    return _PREDICATES[p](rows, cols, full)
+
+
+def _columns(rows) -> list[int]:
+    cols = [0] * len(rows)
+    for x, r in enumerate(rows):
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= 1 << x
+            r ^= low
+    return cols
+
+
 def holds(r: Relation, p: PropertyId) -> bool:
     """Does relation r satisfy property p? Total for all 26 properties."""
-    return _PREDICATES[p](r)
+    return not any(_PREDICATES[p](r.rows, _columns(r.rows), (1 << r.n) - 1))
+
+
+def violations(rows, p: PropertyId) -> int:
+    """Number of violating instances of p in the relation with these row
+    words; zero iff p holds."""
+    words = _PREDICATES[p](rows, _columns(rows), (1 << len(rows)) - 1)
+    return sum(w.bit_count() for w in words)
 
 
 def property_vector(r: Relation) -> int:
     """24-bit word with bit p.bit set iff the bit-carrying property p holds."""
+    cols, full = _columns(r.rows), (1 << r.n) - 1
     vec = 0
     for p in MINED_PROPERTIES:
-        if _PREDICATES[p](r):
+        if not any(_PREDICATES[p](r.rows, cols, full)):
             vec |= 1 << p.value
     return vec
 
@@ -431,7 +404,7 @@ def classify_kinds(r: Relation) -> set[RelationKind]:
         ok = True
         for p in needs:
             if p not in cache:
-                cache[p] = _PREDICATES[p](r)
+                cache[p] = holds(r, p)
             if not cache[p]:
                 ok = False
                 break

@@ -26,7 +26,7 @@ import numpy as np
 
 from .census import bulk_holds
 from .enumeration import iter_normal_codes
-from .properties import DUAL, PropertyId, holds, parse_property
+from .properties import DUAL, PropertyId, holds, parse_property, violations
 from .relation import NMAX, Relation, element_names
 
 EXHAUSTIVE_MAX_N = 6
@@ -70,8 +70,8 @@ class LiteralConjunction:
 
 
 def _check_witness(r: Relation, query: LiteralConjunction) -> Relation:
-    # candidates from the bulk kernels or the repair loop are re-proved by
-    # the scalar predicates before anyone sees them
+    # candidates from the code scan or the repair loop are checked with
+    # `holds` on the Relation they stand for before anyone sees them
     if not query.satisfied_by(r):
         raise RuntimeError(
             f"search produced a non-witness for {query}: {r!r}")
@@ -100,125 +100,12 @@ def _exhaustive(n: int, query: LiteralConjunction) -> Relation | None:
 
 # -- heuristic mode ------------------------------------------------------------
 
-def _viol_count(rows: list[int], n: int, p: PropertyId) -> int:
-    """Number of violating instances of p; zero iff p holds. Used as the
-    repair score, so being roughly proportional to brokenness matters more
-    than the exact tuple count."""
-    full = (1 << n) - 1
-    cols = [0] * n
-    for x in range(n):
-        r = rows[x]
-        while r:
-            y = (r & -r).bit_length() - 1
-            cols[y] |= 1 << x
-            r &= r - 1
-    P = PropertyId
-    if p is P.Empty:
-        return sum(r.bit_count() for r in rows)
-    if p is P.Univ:
-        return sum((~r & full).bit_count() for r in rows)
-    if p is P.CoRefl:
-        return sum((rows[x] & ~(1 << x)).bit_count() for x in range(n))
-    if p is P.LfEucl:
-        return sum(1 for y in range(n) for z in range(n)
-                   if rows[y] & rows[z] and not rows[y] >> z & 1)
-    if p is P.RgEucl:
-        return sum(1 for y in range(n) for z in range(n)
-                   if cols[y] & cols[z] and not rows[y] >> z & 1)
-    if p is P.LfUnique:
-        return sum(max(0, c.bit_count() - 1) for c in cols)
-    if p is P.RgUnique:
-        return sum(max(0, r.bit_count() - 1) for r in rows)
-    if p is P.Sym:
-        return sum((rows[x] ^ cols[x]).bit_count() for x in range(n)) // 2
-    if p is P.AntiTrans:
-        return _path_mismatch(rows, rows, n, want_subset_of=None, forbid=True)
-    if p is P.ASym:
-        return sum((rows[x] & cols[x]).bit_count() for x in range(n))
-    if p is P.Connex:
-        return sum((~(rows[x] | cols[x]) & full).bit_count() for x in range(n))
-    if p is P.Trans:
-        return _path_mismatch(rows, rows, n, want_subset_of=rows)
-    if p is P.SemiOrd1:
-        inc = [~(rows[x] | cols[x]) & full for x in range(n)]
-        t1 = _compose(rows, inc, n)
-        t2 = _compose(t1, rows, n)
-        return sum((t2[x] & ~rows[x]).bit_count() for x in range(n))
-    if p is P.Irrefl:
-        return sum(rows[x] >> x & 1 for x in range(n))
-    if p is P.Refl:
-        return sum(1 - (rows[x] >> x & 1) for x in range(n))
-    if p is P.QuasiRefl:
-        return (_viol_count(rows, n, P.LfQuasiRefl)
-                + _viol_count(rows, n, P.RgQuasiRefl))
-    if p is P.LfQuasiRefl:
-        return sum(1 for x in range(n) if rows[x] and not rows[x] >> x & 1)
-    if p is P.RgQuasiRefl:
-        return sum(1 for y in range(n) if cols[y] and not rows[y] >> y & 1)
-    if p is P.AntiSym:
-        return sum((rows[x] & cols[x] & ~(1 << x)).bit_count()
-                   for x in range(n)) // 2
-    if p is P.SemiConnex:
-        return sum((~(rows[x] | cols[x] | 1 << x) & full).bit_count()
-                   for x in range(n)) // 2
-    if p is P.IncTrans:
-        inc = [~(rows[x] | cols[x]) & full for x in range(n)]
-        return _path_mismatch(inc, inc, n, want_subset_of=inc)
-    if p is P.SemiOrd2:
-        comp = [rows[v] | cols[v] for v in range(n)]
-        count = 0
-        for y in range(n):
-            pmask = cols[y]
-            while pmask:
-                x = (pmask & -pmask).bit_length() - 1
-                pmask &= pmask - 1
-                m = comp[x] | comp[y]
-                smask = rows[y]
-                while smask:
-                    z = (smask & -smask).bit_length() - 1
-                    smask &= smask - 1
-                    if m | comp[z] != full:
-                        count += 1
-        return count
-    if p is P.QuasiTrans:
-        strict = [rows[x] & ~cols[x] for x in range(n)]
-        return _path_mismatch(strict, strict, n, want_subset_of=strict)
-    if p is P.Dense:
-        reach = _compose(rows, rows, n)
-        return sum((rows[x] & ~reach[x]).bit_count() for x in range(n))
-    if p is P.LfSerial:
-        return sum(1 for c in cols if not c)
-    if p is P.RgSerial:
-        return sum(1 for r in rows if not r)
-    raise AssertionError(p)
-
-
-def _compose(first: list[int], second: list[int], n: int) -> list[int]:
-    out = []
-    for x in range(n):
-        acc = 0
-        r = first[x]
-        while r:
-            y = (r & -r).bit_length() - 1
-            acc |= second[y]
-            r &= r - 1
-        out.append(acc)
-    return out
-
-
-def _path_mismatch(first, second, n, want_subset_of, forbid=False):
-    reach = _compose(first, second, n)
-    if forbid:  # count 2-paths that land on an edge (anti-transitivity)
-        return sum((reach[x] & first[x]).bit_count() for x in range(n))
-    return sum((reach[x] & ~want_subset_of[x]).bit_count() for x in range(n))
-
-
-def _score(rows: list[int], n: int, query: LiteralConjunction) -> int:
+def _score(rows: list[int], query: LiteralConjunction) -> int:
     score = 0
     for p in query.pos:
-        score += _viol_count(rows, n, p)
+        score += violations(rows, p)
     for p in query.neg:
-        if _viol_count(rows, n, p) == 0:
+        if violations(rows, p) == 0:
             score += 1  # property still holds and must be broken
     return score
 
@@ -299,7 +186,7 @@ def _descend(rows: list[int], n: int, query: LiteralConjunction, score: int,
                     if state == old:
                         continue
                     _set_pair(rows, x, y, state)
-                    s = _score(rows, n, query)
+                    s = _score(rows, query)
                     evals += 1
                     if s < score and (best is None or s < best[0]):
                         best = (s, x, y, state)
@@ -307,7 +194,7 @@ def _descend(rows: list[int], n: int, query: LiteralConjunction, score: int,
         if diag is None:
             for x in range(n):
                 rows[x] ^= 1 << x
-                s = _score(rows, n, query)
+                s = _score(rows, query)
                 evals += 1
                 if s < score and (best is None or s < best[0]):
                     best = (s, x, x, None)
@@ -345,7 +232,7 @@ def _heuristic(n: int, query: LiteralConjunction, seed: int,
             rows = _fill(rng, n, rng.random() * 0.3, diag, states)
         else:
             rows = _fill(rng, n, rng.random(), diag, states)
-        score = _score(rows, n, query)
+        score = _score(rows, query)
         spent += 1
         if score > threshold:
             continue

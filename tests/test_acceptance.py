@@ -78,6 +78,7 @@ def test_criterion_1_relation_counts():
     assert elapsed < 60, f"counting n <= 5 took {elapsed:.1f}s"
 
 
+@pytest.mark.slow
 def test_criterion_2_unpruned_property_census_n5(full_census):
     assert full_census.property_counts() == golden.PROPERTY_CENSUS_UNPRUNED_N5
 
@@ -86,12 +87,14 @@ def test_criterion_3_pruned_property_census_n5(pruned_census):
     assert pruned_census.property_counts() == golden.PROPERTY_CENSUS_PRUNED_N5
 
 
+@pytest.mark.slow
 def test_criterion_4_vector_census_occupancy(full_census, pruned_census):
     assert full_census.inhabited() == golden.INHABITED_VECTORS_N5
     assert full_census.uninhabited() == golden.ON_VECTORS_N5
     assert set(full_census.counts) == set(pruned_census.counts)
 
 
+@pytest.mark.slow
 def test_criterion_5_mining_catalogue(mined):
     result, elapsed = mined
     per_level = result.per_level_counts()
@@ -113,6 +116,7 @@ def test_criterion_5_mining_catalogue(mined):
     assert elapsed < 600, f"full mine took {elapsed:.0f}s"
 
 
+@pytest.mark.slow
 def test_criterion_6_prime_implicant_suite(full_census, mined):
     result, _ = mined
     occupied = np.fromiter(sorted(full_census.counts), dtype=np.uint32)
@@ -130,6 +134,7 @@ def test_criterion_6_prime_implicant_suite(full_census, mined):
                 f"avoids every occupied vector")
 
 
+@pytest.mark.slow
 def test_criterion_7_redundancy(mined):
     result, _ = mined
     by_seq = {law.seq: law for law in result.laws}

@@ -16,25 +16,40 @@ from rellaws import (
     vector_census,
 )
 from rellaws.census import bulk_holds, bulk_vectors, matrices_from_codes
+from naive import NAIVE, naive_holds
+
+
+def naive_vector(r):
+    pairs = set(r.pairs())
+    return sum(1 << p.value for p in MINED_PROPERTIES if NAIVE[p](r.n, pairs))
 
 
 class TestBulkKernels:
+    # the bulk readers share the predicates with `holds`, so they are checked
+    # against the quantifier sweeps of tests/naive.py instead
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_vectors_exhaustive(self, n):
         codes = np.arange(1 << n * n, dtype=np.uint64)
         vecs = bulk_vectors(codes, n)
+        results = bulk_holds(codes, n, list(PropertyId))
         for code in range(1 << n * n):
-            assert int(vecs[code]) == property_vector(Relation.from_code(n, code))
+            r = Relation.from_code(n, code)
+            assert int(vecs[code]) == naive_vector(r), (n, code)
+            for p in PropertyId:
+                assert bool(results[p][code]) == naive_holds(r, p), (n, code, p.name)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_holds_random(self, n):
         rng = np.random.default_rng(n)
         codes = rng.integers(0, 1 << n * n, size=300, dtype=np.uint64)
         results = bulk_holds(codes, n, list(PropertyId))
+        vecs = bulk_vectors(codes, n)
         for i, code in enumerate(codes.tolist()):
             r = Relation.from_code(n, code)
+            assert int(vecs[i]) == naive_vector(r), (n, code)
             for p in PropertyId:
-                assert bool(results[p][i]) == holds(r, p), (n, code, p.name)
+                assert bool(results[p][i]) == naive_holds(r, p), (n, code, p.name)
 
     def test_matrices_layout(self):
         code = Relation.from_pairs(2, [(0, 1)]).to_code()

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from rellaws import Relation, property_vector
+from rellaws import Relation, golden, property_vector
 from rellaws.cli import main
 
 
@@ -68,6 +68,18 @@ class TestCount:
         code, _, err = run(capsys, "count", "--n", "9")
         assert code == 2 and "error:" in err
 
+    def test_small_sizes_match_golden(self, capsys):
+        for n in range(1, 6):
+            assert run(capsys, "count", "--n", str(n)) == (
+                0, f"{golden.UNPRUNED_COUNTS[n]}\n", "")
+            assert run(capsys, "count", "--n", str(n), "--pruned") == (
+                0, f"{golden.PRUNED_COUNTS[n]}\n", "")
+
+    def test_largest_size_returns_at_once(self, capsys):
+        assert run(capsys, "count", "--n", "8") == (0, f"{1 << 64}\n", "")
+        assert run(capsys, "count", "--n", "8", "--pruned") == (
+            0, "5349866024016042\n", "")
+
     def test_non_integer_size_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--n", "three"])
@@ -105,6 +117,21 @@ class TestCensusCommand:
         assert "000001,7" not in out_path.read_text()
 
 
+    def test_refuses_unpruned_n6(self, capsys, tmp_path):
+        code, out, err = run(capsys, "census", "--n", "6",
+                             "--out", str(tmp_path / "c.txt"))
+        assert code == 2 and out == ""
+        assert "--pruned" in err and "68,719,476,736 relations" in err
+        assert not (tmp_path / "c.txt").exists()
+
+    def test_refuses_pruned_n7(self, capsys, tmp_path):
+        code, out, err = run(capsys, "census", "--n", "7", "--pruned",
+                             "--out", str(tmp_path / "c.txt"))
+        assert code == 2 and out == ""
+        assert "--pruned" in err and "827,507,617,792 normal forms" in err
+        assert not (tmp_path / "c.txt").exists()
+
+
 class TestPipeline:
     def test_census_mine_star(self, capsys, tmp_path):
         census_path = tmp_path / "census.txt"
@@ -140,6 +167,14 @@ class TestPipeline:
         for line in out.splitlines():
             seq, text = line.split(": ", 1)
             assert seq.isdigit() and len(seq) == 3 and text
+
+    def test_star_missing_laws_keeps_output(self, capsys, tmp_path):
+        out_path = tmp_path / "existing.csv"
+        out_path.write_bytes(b"seq,level\n1,2\n")
+        code, out, err = run(capsys, "star", "--laws", str(tmp_path / "missing.csv"),
+                             "--out", str(out_path))
+        assert code == 2 and "error:" in err and out == ""
+        assert out_path.read_bytes() == b"seq,level\n1,2\n"
 
     def test_mine_rejects_missing_census(self, capsys, tmp_path):
         code, _, err = run(capsys, "mine", "--census", str(tmp_path / "no.txt"))

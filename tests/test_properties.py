@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from rellaws import (
     property_vector,
     vector_properties,
 )
+from rellaws.properties import violations
 from naive import naive_holds
 
 relations = st.integers(1, 6).flatmap(
@@ -68,6 +72,64 @@ class TestOracleAgreement:
     def test_random_larger(self, r):
         for p in PropertyId:
             assert holds(r, p) == naive_holds(r, p), p.name
+
+
+class TestViolationCount:
+    """The violation count, the heuristic search's repair score, is zero
+    exactly when the naive oracle says the property holds."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_iff_holds_exhaustive(self, n):
+        for code in range(1 << n * n):
+            r = Relation.from_code(n, code)
+            for p in PropertyId:
+                assert (violations(r.rows, p) == 0) == naive_holds(r, p), (
+                    n, code, p.name)
+
+    def test_zero_iff_holds_random(self):
+        rng = random.Random(88)
+        for _ in range(200):
+            n = rng.randint(4, 8)
+            density = rng.random()
+            r = Relation.from_pairs(n, [(x, y) for x in range(n) for y in range(n)
+                                        if rng.random() < density])
+            for p in PropertyId:
+                assert (violations(list(r.rows), p) == 0) == naive_holds(r, p), (
+                    r, p.name)
+
+    def test_counts_match_definitions(self):
+        # the counts the repair score is built from: each unordered pair
+        # once for the symmetric conditions, surplus predecessors for
+        # LfUnique, and (x, y, z) paths with a w incomparable to all three
+        # for SemiOrd2
+        P = PropertyId
+        rng = random.Random(89)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            density = rng.random()
+            pairs = {(x, y) for x in range(n) for y in range(n)
+                     if rng.random() < density}
+            rows = Relation.from_pairs(n, pairs).rows
+            below = [(x, y) for x in range(n) for y in range(x + 1, n)]
+            one_way = sum(((x, y) in pairs) != ((y, x) in pairs) for x, y in below)
+            both = sum((x, y) in pairs and (y, x) in pairs for x, y in below)
+            neither = sum((x, y) not in pairs and (y, x) not in pairs
+                          for x, y in below)
+            surplus = sum(max(0, sum((x, y) in pairs for x in range(n)) - 1)
+                          for y in range(n))
+
+            def inc(a, b):
+                return (a, b) not in pairs and (b, a) not in pairs
+
+            lonely_paths = sum(
+                1 for (x, y), z in product(pairs, range(n))
+                if (y, z) in pairs
+                and any(inc(w, x) and inc(w, y) and inc(w, z) for w in range(n)))
+            assert violations(rows, P.Sym) == one_way
+            assert violations(rows, P.AntiSym) == both
+            assert violations(rows, P.SemiConnex) == neither
+            assert violations(rows, P.LfUnique) == surplus
+            assert violations(rows, P.SemiOrd2) == lonely_paths
 
 
 class TestDuality:

@@ -143,6 +143,46 @@ class TestHeuristic:
         assert find_witness(7, q, "heuristic", seed=0, budget=2000) is None
 
 
+    # (n, required, forbidden, seed, rows of the witness found). Each search
+    # repairs its fills by descent, so these pin the search path end to end;
+    # the repair score's counts themselves are pinned in test_properties.
+    PINNED = [
+        (5, ["SemiOrd2"], ["SemiConnex", "QuasiRefl"], 62,
+         (2, 0, 0, 0, 0)),
+        (6, ["SemiOrd2"], ["SemiConnex", "AntiTrans"], 98,
+         (62, 1, 41, 1, 1, 0)),
+        (5, ["SemiOrd2"], ["LfSerial"], 644,
+         (0, 0, 0, 0, 0)),
+        (8, ["LfUnique"], ["Sym", "SemiOrd1"], 54,
+         (0, 0, 4, 8, 64, 128, 0, 32)),
+        (6, ["LfUnique", "RgSerial"], ["AntiTrans"], 79,
+         (8, 4, 2, 1, 16, 32)),
+        (8, ["Sym", "LfUnique"], ["Irrefl"], 30,
+         (4, 16, 1, 8, 2, 0, 0, 0)),
+        (6, ["SemiConnex", "Irrefl"], ["LfSerial"], 75,
+         (62, 4, 24, 50, 38, 6)),
+        (7, ["SemiConnex", "Dense"], ["LfEucl"], 57,
+         (127, 126, 127, 127, 127, 127, 127)),
+        (7, ["Sym", "IncTrans"], ["LfQuasiRefl"], 26,
+         (126, 127, 127, 127, 127, 127, 127)),
+        (8, ["SemiOrd2", "AntiSym"], ["Refl"], 48,
+         (234, 62, 157, 168, 57, 100, 94, 242)),
+        (8, ["LfUnique", "AntiSym"], ["Connex"], 3,
+         (0, 8, 0, 0, 48, 128, 4, 0)),
+        (7, ["Trans"], ["SemiConnex", "LfUnique"], 48,
+         (2, 2, 0, 0, 0, 0, 0)),
+        (8, ["Sym", "RgUnique"], ["RgQuasiRefl"], 22,
+         (4, 128, 1, 64, 0, 32, 8, 2)),
+        (7, ["AntiSym", "RgQuasiRefl"], ["LfQuasiRefl"], 62,
+         (71, 86, 12, 11, 93, 95, 76)),
+    ]
+
+    @pytest.mark.parametrize("n,require,forbid,seed,rows", PINNED)
+    def test_pinned_witnesses(self, n, require, forbid, seed, rows):
+        q = query(require, forbid)
+        assert find_witness(n, q, "heuristic", seed=seed) == Relation(n, rows)
+
+
 class TestMinUniverse:
     def test_vacuous_properties_admit_the_singleton(self):
         assert min_universe(query(["AntiTrans", "SemiConnex"]), 6) == 1
