@@ -34,16 +34,12 @@ from .mining import (
     Implicant,
     Law,
     MineResult,
-    MiningState,
-    RectangleStatus,
     format_law,
     law_line,
     laws_from_csv,
     laws_to_csv,
     mine,
     parse_law_text,
-    rectangle_members,
-    rectangle_status,
 )
 from .redundancy import entails, flag_csv, implicant_clause, star_redundant
 from .search import (
@@ -62,9 +58,9 @@ __all__ = [
     "is_normal_form", "normal_form_count", "row_signature",
     "VectorCensus", "load_census", "property_census", "save_census",
     "vector_census",
-    "Implicant", "Law", "MineResult", "MiningState", "RectangleStatus",
+    "Implicant", "Law", "MineResult",
     "format_law", "law_line", "laws_from_csv", "laws_to_csv", "mine",
-    "parse_law_text", "rectangle_members", "rectangle_status",
+    "parse_law_text",
     "entails", "flag_csv", "implicant_clause", "star_redundant",
     "LiteralConjunction", "export_dot", "find_witness", "min_universe",
 ]

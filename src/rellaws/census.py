@@ -172,5 +172,8 @@ def load_census(fp: TextIO) -> VectorCensus:
         if vec <= prev:
             raise ValueError(f"line {lineno}: vectors not ascending")
         prev = vec
-        counts[vec] = int(cnt_s)
+        count = int(cnt_s)
+        if count <= 0:
+            raise ValueError(f"line {lineno}: count {count} is not positive")
+        counts[vec] = count
     return VectorCensus(n, pruned, counts)

@@ -139,7 +139,8 @@ def iter_normal_codes(n: int, chunk_size: int = DEFAULT_CHUNK) -> Iterator[np.nd
 
     Generation is row-group-wise: for each nondecreasing signature tuple
     the member matrices are the cartesian product of the per-position group
-    rows, built directly. Nothing is filtered out of the full space.
+    rows, built directly. Nothing is filtered out of the full space. Blocks
+    are gathered and cut so that no chunk holds more than chunk_size codes.
     """
     if not 1 <= n <= NMAX:
         raise ValueError(f"universe size must be between 1 and {NMAX}, got {n}")
@@ -159,10 +160,14 @@ def iter_normal_codes(n: int, chunk_size: int = DEFAULT_CHUNK) -> Iterator[np.nd
         pending.append(block)
         pending_len += block.size
         if pending_len >= chunk_size:
-            yield np.concatenate(pending) if len(pending) > 1 else pending[0]
-            pending, pending_len = [], 0
-    if pending:
-        yield np.concatenate(pending) if len(pending) > 1 else pending[0]
+            codes = np.concatenate(pending)
+            whole = pending_len - pending_len % chunk_size
+            # drop the blocks before the chunks go out: one copy stays alive
+            pending, pending_len = [codes[whole:]], pending_len - whole
+            for start in range(0, whole, chunk_size):
+                yield codes[start:start + chunk_size]
+    if pending_len:
+        yield np.concatenate(pending)
 
 
 def iter_code_chunks(n: int, pruned: bool = False,

@@ -2,35 +2,46 @@
 
 The search space is the 24-bit vector space of a census. A vector is "off"
 when some visited relation produced it (the combination exists, so no law),
-and "on" when no relation did. An implicant (mask, value) names the
-rectangle of all vectors u with u & mask == value; level = popcount(mask).
-The miner scans levels top-down (coarsest rectangles first) and inside a
-level scans masks in ascending numeric order, values in ascending numeric
-order. A rectangle that covers no off vector and at least one still-on
-vector is prime: it is reported as a law and its whole rectangle becomes
-don't-care, so later (smaller) rectangles inside it are not reported again.
+and "on" when no relation did. An implicant (mask, value) names the cube
+of all vectors u with u & mask == value; level = popcount(mask). The miner
+scans levels top-down (coarsest cubes first) and inside a level scans
+masks in ascending numeric order, values in ascending numeric order. A
+cube that covers no off vector and at least one still-on vector is prime:
+it is reported as a law and its whole cube becomes don't-care, so later
+(smaller) cubes inside it are not reported again.
 
 A reported law is the complement clause of its implicant: implicant
 ASym=1, Irrefl=0 reads "no relation is asymmetric and not irreflexive",
 i.e. the law ASym -> Irrefl. `format_law` prints implicant polarity
 ("ASym ~Irrefl"), literals ascending by bit position.
 
-Performance contract honored here: HitsOff is decided against the explicit
-off list (hundreds of vectors, early exit), never by walking the up-to-2^23
-member rectangle; the on-existence side either projects the explicit on
-list onto the mask (once the on set is small) or walks the rectangle
-against the blocked bitset in vectorized slices with early exit (early
-levels, when on vectors are everywhere). Once the level-start on-count
-reaches zero no rectangle at any deeper level can be prime, so the scan
-stops rather than grinding through 3^24 rectangles.
+The state is one bitset, `on`, over the whole space: off vectors and
+don't-cares are cleared, and viewed as an array of n_props axes of length
+2 a cube is a slice, tested with `any()` and absorbed by assigning False.
+Which cubes get tested comes from whichever is fewer at the level, its
+masks or its still-on vectors, and both sources are exact:
+
+* from the masks, each value whose cube avoids off while every parent
+  cube (one literal dropped) hits off, the Quine-McCluskey prime
+  condition. A cube with an off-free parent lies inside a cube the scan
+  of the level before either reported or found without on vectors, so
+  it can never be reported.
+* from the on vectors, each on u paired with every mask m that meets
+  every difference set u ^ o of an off o: the cubes (m, u & m) that hold
+  u and avoid off, i.e. the transversals of that hypergraph. A cube with
+  no on vector at the start of the level cannot gain one.
+
+Both feed one loop that tests and absorbs candidates in (mask, value)
+order, so the laws are those of the plain scan. Once a level starts with
+no vector on, no cube at any deeper level can be prime, and the scan stops.
 """
 
 from __future__ import annotations
 
 import csv
-import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from math import comb
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -38,16 +49,6 @@ from .census import VectorCensus
 from .properties import MINED_PROPERTIES, VECTOR_BITS, PropertyId
 
 _BY_BIT = {p.value: p for p in MINED_PROPERTIES}
-
-# explicit on-list representation kicks in below this many on vectors
-_EXPLICIT_ON_LIMIT = 1 << 20
-_WALK_SLICE = 1 << 12
-
-
-class RectangleStatus(enum.Enum):
-    HitsOff = "hits-off"
-    AllDontCare = "all-dont-care"
-    Prime = "prime"
 
 
 @dataclass(frozen=True)
@@ -127,61 +128,6 @@ def parse_law_text(text: str) -> Implicant:
     return Implicant(mask, value)
 
 
-def rectangle_members(imp: Implicant, n_props: int = VECTOR_BITS) -> np.ndarray:
-    """All covered vectors, ascending, as a uint32 array (size 2^(n_props-level))."""
-    free = [b for b in range(n_props) if not imp.mask >> b & 1]
-    members = np.array([imp.value], dtype=np.uint32)
-    for b in free:  # ascending bits keep the array sorted after each doubling
-        members = np.concatenate([members, members + np.uint32(1 << b)])
-    return members
-
-
-class MiningState:
-    """Off list plus don't-care bitset over an n_props-bit vector space."""
-
-    def __init__(self, off_vectors: Iterable[int], n_props: int = VECTOR_BITS):
-        if not 1 <= n_props <= VECTOR_BITS:
-            raise ValueError(f"n_props must be 1..{VECTOR_BITS}, got {n_props}")
-        self.n_props = n_props
-        self.space = 1 << n_props
-        off = sorted(set(int(v) for v in off_vectors))
-        if off and not 0 <= off[0] <= off[-1] < self.space:
-            raise ValueError(f"off vector outside the {n_props}-bit space")
-        self.off = np.array(off, dtype=np.uint32)
-        # blocked = off or don't-care; off vectors never leave it
-        self.blocked = np.zeros(self.space, dtype=bool)
-        self.blocked[self.off] = True
-        self.dontcare_count = 0
-
-    def on_count(self) -> int:
-        return self.space - len(self.off) - self.dontcare_count
-
-    def hits_off(self, imp: Implicant) -> bool:
-        return bool((self.off & np.uint32(imp.mask) == np.uint32(imp.value)).any())
-
-    def has_on(self, imp: Implicant) -> bool:
-        """Does the rectangle still contain an on vector? Early-exit walk."""
-        members = rectangle_members(imp, self.n_props)
-        for start in range(0, members.size, _WALK_SLICE):
-            if not self.blocked[members[start:start + _WALK_SLICE]].all():
-                return True
-        return False
-
-    def mark_dontcare(self, imp: Implicant) -> None:
-        members = rectangle_members(imp, self.n_props)
-        fresh = ~self.blocked[members]
-        self.dontcare_count += int(fresh.sum())
-        self.blocked[members] = True
-
-
-def rectangle_status(state: MiningState, imp: Implicant) -> RectangleStatus:
-    if state.hits_off(imp):
-        return RectangleStatus.HitsOff
-    if state.has_on(imp):
-        return RectangleStatus.Prime
-    return RectangleStatus.AllDontCare
-
-
 @dataclass(frozen=True)
 class LevelStats:
     level: int
@@ -217,68 +163,84 @@ def _masks_of_popcount(n_bits: int, k: int) -> Iterable[int]:
         mask = ripple | ((mask ^ ripple) >> (low.bit_length() + 1))
 
 
-def _subsets_ascending(mask: int) -> Iterable[int]:
-    s = 0
-    while True:
-        yield s
-        if s == mask:
-            return
-        s = (s - mask) & mask
+def _cube(mask: int, value: int, n_props: int) -> tuple:
+    """Index of the cube (mask, value) in the (2,)*n_props view of the space."""
+    # axis i of the view is bit n_props-1-i of the vector
+    return tuple(value >> b & 1 if mask >> b & 1 else slice(None)
+                 for b in reversed(range(n_props)))
+
+
+def _mask_candidates(off: np.ndarray, n_props: int,
+                     level: int) -> Iterator[tuple[int, int]]:
+    """Cubes that avoid off while every scanned parent cube hits it."""
+    for mask in _masks_of_popcount(n_props, level):
+        hit = np.unique(off & np.uint32(mask))
+        if level == 1:  # level 0 is never scanned
+            values = np.array([0, mask], dtype=np.uint32)
+        else:
+            # for a value outside hit, the parent without literal b hits
+            # off iff value ^ b is in hit: keep values with all k such b
+            bits = np.array([1 << b for b in range(n_props) if mask >> b & 1],
+                            dtype=np.uint32)
+            values, parents_hit = np.unique(hit[:, None] ^ bits, return_counts=True)
+            values = values[parents_hit == level]
+        for value in values[~np.isin(values, hit)].tolist():
+            yield mask, value
+
+
+def _vector_candidates(off: np.ndarray, on: np.ndarray, n_props: int,
+                       level: int) -> Iterator[tuple[int, int]]:
+    """The off-free cubes of the level around each on vector, ascending."""
+    masks = np.fromiter(_masks_of_popcount(n_props, level), dtype=np.uint32,
+                        count=comb(n_props, level))
+    keys = []
+    for u in on.tolist():
+        # (m, u & m) avoids off iff m meets every difference set u ^ o
+        fit = masks
+        for diff in off ^ np.uint32(u):
+            fit = fit[fit & diff != 0]
+        keys.append(fit.astype(np.uint64) << np.uint64(n_props) | (fit & np.uint32(u)))
+    for key in np.unique(np.concatenate(keys)).tolist():
+        yield key >> n_props, key & ((1 << n_props) - 1)
 
 
 def mine(census: VectorCensus, max_level: int = 8,
          n_props: int = VECTOR_BITS) -> MineResult:
-    """Scan rectangles of level 1..max_level; return the prime laws in order.
+    """Scan cubes of level 1..max_level; return the prime laws in order.
 
     Off vectors are the census keys (count > 0); every other vector in the
     n_props-bit space starts on. Laws come out numbered from 1 in the scan
     order (level, then mask, then value, all ascending).
     """
+    if not 1 <= n_props <= VECTOR_BITS:
+        raise ValueError(f"n_props must be 1..{VECTOR_BITS}, got {n_props}")
     if not 1 <= max_level <= n_props:
         raise ValueError(f"max_level must be 1..{n_props}, got {max_level}")
     bad = [v for v in census.counts if v >> n_props]
     if bad:
         raise ValueError(
             f"census vector 0x{bad[0]:x} exceeds the {n_props}-bit space")
-    state = MiningState(census.counts.keys(), n_props)
+    off = np.array(list(census.counts), dtype=np.uint32)
+    on = np.ones(1 << n_props, dtype=bool)
+    on[off] = False
+    view = on.reshape((2,) * n_props)
 
     laws: list[Law] = []
     stats: list[LevelStats] = []
-    seq = 0
     for level in range(1, max_level + 1):
-        on_now = state.on_count()
-        stats.append(LevelStats(level, on_now, len(state.off), state.dontcare_count))
+        on_now = int(np.count_nonzero(on))
+        stats.append(LevelStats(level, on_now, off.size, on.size - off.size - on_now))
         if on_now == 0:
             break  # nothing below can be prime any more
-        explicit_on = None
-        if on_now <= _EXPLICIT_ON_LIMIT:
-            explicit_on = np.flatnonzero(~state.blocked).astype(np.uint32)
-        for mask in _masks_of_popcount(n_props, level):
-            mask32 = np.uint32(mask)
-            off_proj = set(np.unique(state.off & mask32).tolist()) if state.off.size else set()
-            if explicit_on is not None:
-                on_proj = set(np.unique(explicit_on & mask32).tolist())
-                prime_values = sorted(on_proj - off_proj)
-                # rectangles of one mask are disjoint, so every prime here is
-                # decided by the state as of mask start, same as sequentially
-                for v in prime_values:
-                    seq += 1
-                    imp = Implicant(mask, v)
-                    laws.append(Law(seq, imp))
-                    state.mark_dontcare(imp)
-                if prime_values:
-                    keep = ~np.isin(explicit_on & mask32,
-                                    np.array(prime_values, dtype=np.uint32))
-                    explicit_on = explicit_on[keep]
-            else:
-                for v in _subsets_ascending(mask):
-                    if v in off_proj:
-                        continue
-                    imp = Implicant(mask, v)
-                    if state.has_on(imp):
-                        seq += 1
-                        laws.append(Law(seq, imp))
-                        state.mark_dontcare(imp)
+        if comb(n_props, level) <= on_now:
+            candidates = _mask_candidates(off, n_props, level)
+        else:
+            candidates = _vector_candidates(off, np.flatnonzero(on), n_props, level)
+        for mask, value in candidates:
+            cube = _cube(mask, value, n_props)
+            if view[cube].any():
+                laws.append(Law(len(laws) + 1, Implicant(mask, value)))
+                view[cube] = False
     return MineResult(laws, stats, max_level, n_props)
 
 

@@ -6,6 +6,9 @@ point is that two implementations written from the same prose definitions
 agree. Relations are taken as (n, set of pairs). All quantifiers range
 over the full universe, degenerate tuples included, unless the definition
 itself says otherwise (the "distinct" properties).
+
+`mine` is the same kind of oracle for the miner: its definition, run
+cube by cube over Python sets.
 """
 
 from itertools import product
@@ -177,3 +180,37 @@ NAIVE = {
 
 def naive_holds(r, p):
     return NAIVE[p](r.n, set(r.pairs()))
+
+
+def mine(off, n_props, max_level):
+    """The miner restated sequentially over Python sets.
+
+    Levels ascend, masks ascend inside a level and values ascend inside a
+    mask. A cube is reported when it holds no off vector and some vector
+    that is neither off nor covered by an earlier law. Returns the laws as
+    (seq, mask, value) and, per level scanned, (level, on, off, covered)
+    counts taken at its start; the scan stops at a level that opens with
+    nothing on.
+    """
+    off = set(off)
+    space = range(1 << n_props)
+    covered = set()
+    laws, stats = [], []
+    for level in range(1, max_level + 1):
+        on = [u for u in space if u not in off and u not in covered]
+        stats.append((level, len(on), len(off), len(covered)))
+        if not on:
+            break
+        for mask in space:
+            if bin(mask).count("1") != level:
+                continue
+            free = [u for u in space if not u & mask]
+            for value in space:
+                if value & ~mask:
+                    continue
+                cube = {value | u for u in free}
+                if cube & off or cube <= covered:
+                    continue
+                laws.append((len(laws) + 1, mask, value))
+                covered |= cube
+    return laws, stats

@@ -3,7 +3,7 @@
 Each test reproduces one block of the published reference results from
 scratch (no cache involvement) and pins the outcome exactly. The expensive
 artifacts, the two n = 5 censuses and the full mining run, are computed
-once per session and shared.
+once per module and shared.
 
 Criterion 7 carries a reference expectation that law 006 `CoRefl ~LfEucl`
 is not propositionally entailed by the rest of the catalogue. Against all
@@ -62,9 +62,11 @@ def pruned_census():
 
 
 @pytest.fixture(scope="module")
-def mined(full_census):
+def mined(pruned_census):
+    # mine reads only the census keys, and criterion 4 pins that the pruned
+    # and the full key sets are equal
     start = time.perf_counter()
-    result = mine(full_census, max_level=24)
+    result = mine(pruned_census, max_level=24)
     return result, time.perf_counter() - start
 
 
@@ -94,12 +96,13 @@ def test_criterion_4_vector_census_occupancy(full_census, pruned_census):
     assert set(full_census.counts) == set(pruned_census.counts)
 
 
-@pytest.mark.slow
 def test_criterion_5_mining_catalogue(mined):
     result, elapsed = mined
     per_level = result.per_level_counts()
     assert per_level == golden.LEVEL_LAW_COUNTS
     assert len(result.laws) == golden.TOTAL_LAWS
+    assert {s.level: s.on_at_start for s in result.level_stats} \
+        == golden.LEVEL_ON_AT_START
 
     for level, reference in ((2, golden.LAW_TEXTS_LEVEL2),
                              (3, golden.LAW_TEXTS_LEVEL3)):
@@ -113,13 +116,12 @@ def test_criterion_5_mining_catalogue(mined):
                 for i, (a, b) in enumerate(zip(texts, reference)) if a != b]
         assert not diff, f"level {level} order diffs: {diff}"
 
-    assert elapsed < 600, f"full mine took {elapsed:.0f}s"
+    assert elapsed < 60, f"full mine took {elapsed:.0f}s"
 
 
-@pytest.mark.slow
-def test_criterion_6_prime_implicant_suite(full_census, mined):
+def test_criterion_6_prime_implicant_suite(pruned_census, mined):
     result, _ = mined
-    occupied = np.fromiter(sorted(full_census.counts), dtype=np.uint32)
+    occupied = np.fromiter(sorted(pruned_census.counts), dtype=np.uint32)
     for law in result.laws:
         imp = law.implicant
         assert not np.any((occupied & imp.mask) == imp.value), (

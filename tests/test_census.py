@@ -153,3 +153,10 @@ class TestCensusFile:
         with pytest.raises(ValueError):
             load_census(io.StringIO(
                 "relcensus v1 n=2 pruned=0 props=24\n1000000,4\n"))
+
+    def test_load_rejects_counts_below_one(self):
+        # every key of a census is a vector some relation produced
+        for line in ("000001,0", "000002,-3"):
+            with pytest.raises(ValueError):
+                load_census(io.StringIO(
+                    f"relcensus v1 n=2 pruned=0 props=24\n{line}\n"))

@@ -180,6 +180,13 @@ class TestPipeline:
         code, _, err = run(capsys, "mine", "--census", str(tmp_path / "no.txt"))
         assert code == 2 and "error:" in err
 
+    def test_mine_rejects_count_below_one(self, capsys, tmp_path):
+        census_path = tmp_path / "census.txt"
+        census_path.write_text(
+            "relcensus v1 n=2 pruned=0 props=24\n000001,0\n000002,-3\n")
+        code, out, err = run(capsys, "mine", "--census", str(census_path))
+        assert code == 2 and "not positive" in err and out == ""
+
 
 class TestWitnessCommand:
     def test_prints_a_witness_that_parses_back(self, capsys):

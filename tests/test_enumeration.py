@@ -121,6 +121,13 @@ class TestGeneration:
         tiny = np.concatenate(list(iter_normal_codes(4, chunk_size=17)))
         assert np.array_equal(whole, tiny)
 
+    def test_chunks_hold_at_most_chunk_size(self):
+        # one signature-tuple block at n = 4 holds up to 81 codes
+        chunks = list(iter_normal_codes(4, chunk_size=17))
+        assert max(c.size for c in chunks) <= 17
+        assert np.array_equal(np.concatenate(chunks),
+                              np.concatenate(list(iter_normal_codes(4))))
+
     def test_iter_code_chunks_dispatch(self):
         a = np.concatenate(list(iter_code_chunks(3, pruned=False)))
         b = np.concatenate(list(iter_code_chunks(3, pruned=True)))

@@ -1,23 +1,22 @@
 import io
+import random
 
 import numpy as np
 import pytest
 
+import naive
 from rellaws import (
     Implicant,
     Law,
-    MiningState,
     PropertyId,
-    RectangleStatus,
     VectorCensus,
     format_law,
     law_line,
     laws_from_csv,
     laws_to_csv,
     mine,
+    mining,
     parse_law_text,
-    rectangle_members,
-    rectangle_status,
 )
 
 
@@ -73,28 +72,6 @@ class TestLawText:
             parse_law_text("Empty Bogus")
         with pytest.raises(ValueError):
             parse_law_text("")
-
-
-class TestRectangles:
-    def test_members_of_full_mask(self):
-        imp = Implicant((1 << 24) - 1, 12345)
-        assert rectangle_members(imp).tolist() == [12345]
-
-    def test_members_enumerate_free_bits(self):
-        imp = Implicant(0b11, 0b01)
-        assert rectangle_members(imp, 3).tolist() == [0b001, 0b101]
-
-    def test_status_hits_off(self):
-        state = MiningState([0b001], n_props=3)
-        assert rectangle_status(state, Implicant(0b001, 0b001)) \
-            is RectangleStatus.HitsOff
-
-    def test_status_prime_then_dont_care(self):
-        state = MiningState([0b001], n_props=3)
-        imp = Implicant(0b001, 0b000)  # all four members on
-        assert rectangle_status(state, imp) is RectangleStatus.Prime
-        state.mark_dontcare(imp)
-        assert rectangle_status(state, imp) is RectangleStatus.AllDontCare
 
 
 class TestMineSynthetic:
@@ -163,6 +140,35 @@ class TestMineSynthetic:
         result = mine(census, max_level=1, n_props=3)
         assert result.laws == []
         assert result.max_level == 1
+
+
+class TestReferenceMiner:
+    def test_matches_sequential_definition(self, monkeypatch):
+        # each level draws its candidates from the fewer of its masks and
+        # its on vectors; count the levels each source serves
+        served = {"masks": 0, "vectors": 0}
+        for name, source in (("masks", "_mask_candidates"),
+                             ("vectors", "_vector_candidates")):
+            def counted(*args, _name=name, _real=getattr(mining, source)):
+                served[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(mining, source, counted)
+
+        rng = random.Random(41)
+        for n_props in range(1, 11):
+            space = 1 << n_props
+            for density in (0.05, 0.3, 0.7, 0.95):
+                off = [u for u in range(space) if rng.random() < density]
+                for max_level in (n_props, max(1, n_props // 2)):
+                    result = mine(census_of(off), max_level, n_props)
+                    laws, stats = naive.mine(off, n_props, max_level)
+                    case = (n_props, density, max_level)
+                    assert [(l.seq, l.implicant.mask, l.implicant.value)
+                            for l in result.laws] == laws, case
+                    assert [(s.level, s.on_at_start, s.off_count,
+                             s.dontcare_at_start)
+                            for s in result.level_stats] == stats, case
+        assert served["masks"] > 0 and served["vectors"] > 0, served
 
 
 class TestMineValidation:
