@@ -5,8 +5,11 @@ call per relation, so this module evaluates the predicates of `properties`
 on whole chunks of relation codes at once. A chunk is decoded into row and
 column words, one numpy uint8 array per element with one entry per code,
 and the same word-level predicates that `holds` runs on Python ints run on
-those arrays. A full unpruned n = 5 vector census is a pass over 128
-chunks, each tallied as it goes.
+those arrays. Row x of a code is its n-bit field at bit n*(n-1-x), with
+cell (x, y) at bit n-1-y, so a shift, a mask and a 2^n-entry bit-reversal
+table give the row word (cell (x, y) at bit y); the column words are then
+packed from the row bits, and no per-cell array is built. A full unpruned
+n = 5 vector census is a pass over 128 chunks, each tallied as it goes.
 
 Since the bulk path and `holds` share their predicates, neither checks the
 other; the tests check both against `tests/naive.py`, an independent
@@ -37,20 +40,20 @@ def matrices_from_codes(codes: np.ndarray, n: int) -> np.ndarray:
     return bits.astype(np.uint8).reshape(codes.shape[0], n, n)
 
 
-def _pack(bits) -> np.ndarray:
-    # bit k of each word from the k-th 0/1 array
-    acc = 0
-    for k, b in enumerate(bits):
-        acc |= b << k
-    return acc
-
-
 def _words(codes: np.ndarray, n: int) -> tuple[list, list, int]:
     """Row and column words of every code, one (B,) uint8 array per element."""
-    # cells[x, y] holds cell (x, y) of every code, contiguously
-    cells = np.ascontiguousarray(matrices_from_codes(codes, n).transpose(1, 2, 0))
-    rows = [_pack(cells[x]) for x in range(n)]
-    cols = [_pack(cells[:, y]) for y in range(n)]
+    # row x is the n-bit field at n*(n-1-x), holding cell (x, y) at bit n-1-y;
+    # rev[f] moves bit n-1-y of f to bit y
+    rev = np.array([int(f"{f:0{n}b}"[::-1], 2) for f in range(1 << n)],
+                   dtype=np.uint8)
+    full = np.uint64((1 << n) - 1)
+    rows = [rev[(codes >> np.uint64(n * (n - 1 - x))) & full] for x in range(n)]
+    cols = []
+    for y in range(n):
+        col = np.zeros_like(rows[0])
+        for x, row in enumerate(rows):
+            col |= (row >> y & 1) << x
+        cols.append(col)
     return rows, cols, (1 << n) - 1
 
 

@@ -13,8 +13,8 @@ form: distinct normal-form matrices can still be isomorphic.
 Enumeration is chunked: the workhorse generators yield numpy arrays of
 relation codes (the row-major bit-string encoding from `relation`), which
 is what lets censuses over 2^25 matrices finish in tens of seconds instead
-of days. `enumerate_all` / `enumerate_normal` wrap them with an optional
-per-relation visitor.
+of days. `enumerate_all` / `enumerate_normal` drive them to count the
+relations of each enumeration.
 
 Order contract:
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .relation import NMAX, Relation
 
 DEFAULT_CHUNK = 1 << 18
 
+# set bits of each byte value; `mining` counts its packed on-set with it
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
@@ -176,48 +177,21 @@ def iter_code_chunks(n: int, pruned: bool = False,
     return iter_normal_codes(n, chunk_size) if pruned else iter_all_codes(n, chunk_size)
 
 
-def normal_form_mask(codes: np.ndarray, n: int) -> np.ndarray:
-    """Boolean mask: which codes decode to normal-form matrices. Vectorized."""
-    full = np.uint64((1 << n) - 1)
-    ok = np.ones(codes.shape, dtype=bool)
-    prev = None
-    for i in range(n):
-        chunk = (codes >> np.uint64(n * (n - 1 - i))) & full
-        diag = (chunk >> np.uint64(n - 1 - i)) & np.uint64(1)
-        c = _POPCOUNT8[chunk.astype(np.uint8)].astype(np.int16) - diag.astype(np.int16)
-        sig = 2 * c + diag.astype(np.int16)
-        if prev is not None:
-            ok &= prev <= sig
-        prev = sig
-    return ok
+# -- counting ----------------------------------------------------------------
+
+def _count(chunks: Iterator[np.ndarray]) -> int:
+    return sum(int(chunk.size) for chunk in chunks)
 
 
-# -- visitor wrappers ---------------------------------------------------------
+def enumerate_all(n: int) -> int:
+    """Stream every n x n relation code once, ascending; return 2^(n*n).
 
-def _visit(n: int, chunks: Iterator[np.ndarray],
-           visitor: Callable[[Relation], object] | None) -> int:
-    count = 0
-    if visitor is None:
-        for chunk in chunks:
-            count += int(chunk.size)
-    else:
-        for chunk in chunks:
-            for code in chunk:
-                visitor(Relation.from_code(n, int(code)))
-            count += int(chunk.size)
-    return count
-
-
-def enumerate_all(n: int, visitor: Callable[[Relation], object] | None = None) -> int:
-    """Visit every n x n relation once, ascending by code; return 2^(n*n).
-
-    With visitor=None only the chunked code stream is driven, which is how
-    the n = 5 count stays well under a minute; pass a visitor to observe
-    each relation (costly: one Relation per matrix).
+    Only the chunked code stream is driven, which is how the n = 5 count
+    stays well under a minute.
     """
-    return _visit(n, iter_all_codes(n), visitor)
+    return _count(iter_all_codes(n))
 
 
-def enumerate_normal(n: int, visitor: Callable[[Relation], object] | None = None) -> int:
-    """Visit every normal-form relation once, in the documented order."""
-    return _visit(n, iter_normal_codes(n), visitor)
+def enumerate_normal(n: int) -> int:
+    """Stream every normal-form code once, in the documented order; return the count."""
+    return _count(iter_normal_codes(n))

@@ -15,11 +15,18 @@ ASym=1, Irrefl=0 reads "no relation is asymmetric and not irreflexive",
 i.e. the law ASym -> Irrefl. `format_law` prints implicant polarity
 ("ASym ~Irrefl"), literals ascending by bit position.
 
-The state is one bitset, `on`, over the whole space: off vectors and
-don't-cares are cleared, and viewed as an array of n_props axes of length
-2 a cube is a slice, tested with `any()` and absorbed by assigning False.
-Which cubes get tested comes from whichever is fewer at the level, its
-masks or its still-on vectors, and both sources are exact:
+The state is one bitset, `words`, over the whole space: off vectors and
+don't-cares are cleared. It is packed 64 vectors to a uint64 word, vector
+u at bit u & 63 of word u >> 6, and the words are viewed as n_props - 6
+axes of length 2 (one word, with its low 2^n_props bits in use, when
+n_props < 6). A cube is then two parts: its literals at bits 6 and up
+pick a slice of that view, and its literals below bit 6 pick the bits j
+of each word with j & mask == value, a 64-bit in-word pattern. A cube
+is tested by `any()` of the slice ANDed with the pattern and absorbed by
+clearing the pattern in the slice, so a test reads one bit in 64 of the
+space where a bool array would read one byte per vector. Which cubes get
+tested comes from whichever is fewer at the level, its masks or its
+still-on vectors, and both sources are exact:
 
 * from the masks, each value whose cube avoids off while every parent
   cube (one literal dropped) hits off, the Quine-McCluskey prime
@@ -28,8 +35,11 @@ masks or its still-on vectors, and both sources are exact:
   it can never be reported.
 * from the on vectors, each on u paired with every mask m that meets
   every difference set u ^ o of an off o: the cubes (m, u & m) that hold
-  u and avoid off, i.e. the transversals of that hypergraph. A cube with
-  no on vector at the start of the level cannot gain one.
+  u and avoid off, i.e. the transversals of that hypergraph. A mask that
+  meets a set meets every superset of it, so only the inclusion-minimal
+  difference sets are tested, smallest first; they are a handful of the
+  off count. A cube with no on vector at the start of the level cannot
+  gain one.
 
 Both feed one loop that tests and absorbs candidates in (mask, value)
 order, so the laws are those of the plain scan. Once a level starts with
@@ -40,12 +50,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .census import VectorCensus
+from .enumeration import _POPCOUNT8
 from .properties import MINED_PROPERTIES, VECTOR_BITS, PropertyId
 
 _BY_BIT = {p.value: p for p in MINED_PROPERTIES}
@@ -150,30 +162,52 @@ class MineResult:
         return counts
 
 
-def _masks_of_popcount(n_bits: int, k: int) -> Iterable[int]:
-    """All k-of-n_bits masks in ascending numeric order (Gosper's hack)."""
-    if k == 0 or k > n_bits:
-        return
-    mask = (1 << k) - 1
-    limit = 1 << n_bits
-    while mask < limit:
-        yield mask
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | ((mask ^ ripple) >> (low.bit_length() + 1))
+def _masks_of_popcount(n_bits: int, k: int) -> np.ndarray:
+    """All k-of-n_bits masks in ascending numeric order, as uint32."""
+    # by[j]: the masks of popcount j over the low bits so far, ascending;
+    # each mask holding the next bit exceeds each mask without it
+    by = [np.zeros(1, dtype=np.uint32)] + [np.zeros(0, dtype=np.uint32)] * k
+    for b in range(n_bits):
+        bit = np.uint32(1 << b)
+        by = [by[0]] + [np.concatenate([by[j], by[j - 1] | bit])
+                        for j in range(1, k + 1)]
+    return by[k]
 
 
-def _cube(mask: int, value: int, n_props: int) -> tuple:
-    """Index of the cube (mask, value) in the (2,)*n_props view of the space."""
+_WORD_BITS = 6  # vector u is bit u & 63 of word u >> 6
+
+
+@lru_cache(maxsize=None)
+def _pattern(mask_lo: int, value_lo: int) -> np.uint64:
+    """The bits j of a word with j & mask_lo == value_lo."""
+    return np.uint64(sum(1 << j for j in range(64) if j & mask_lo == value_lo))
+
+
+def _cube(mask: int, value: int, n_props: int) -> tuple[tuple, np.uint64]:
+    """The cube (mask, value) as a slice of the word view and an in-word pattern."""
     # axis i of the view is bit n_props-1-i of the vector
-    return tuple(value >> b & 1 if mask >> b & 1 else slice(None)
-                 for b in reversed(range(n_props)))
+    idx = tuple(value >> b & 1 if mask >> b & 1 else slice(None)
+                for b in reversed(range(_WORD_BITS, n_props)))
+    return idx, _pattern(mask & 63, value & 63)
+
+
+def _popcount(a: np.ndarray) -> np.ndarray:
+    """Set bits of each entry of a uint32 array."""
+    return _POPCOUNT8[a.view(np.uint8)].reshape(a.size, 4).sum(axis=1)
+
+
+def _on_vectors(words: np.ndarray) -> np.ndarray:
+    """The vectors whose bits are set, ascending."""
+    at = np.flatnonzero(words)
+    bits = np.unpackbits(words[at].astype("<u8").view(np.uint8), bitorder="little")
+    pos = np.flatnonzero(bits)
+    return (at[pos >> _WORD_BITS] << _WORD_BITS | pos & 63).astype(np.uint32)
 
 
 def _mask_candidates(off: np.ndarray, n_props: int,
                      level: int) -> Iterator[tuple[int, int]]:
     """Cubes that avoid off while every scanned parent cube hits it."""
-    for mask in _masks_of_popcount(n_props, level):
+    for mask in _masks_of_popcount(n_props, level).tolist():
         hit = np.unique(off & np.uint32(mask))
         if level == 1:  # level 0 is never scanned
             values = np.array([0, mask], dtype=np.uint32)
@@ -191,14 +225,18 @@ def _mask_candidates(off: np.ndarray, n_props: int,
 def _vector_candidates(off: np.ndarray, on: np.ndarray, n_props: int,
                        level: int) -> Iterator[tuple[int, int]]:
     """The off-free cubes of the level around each on vector, ascending."""
-    masks = np.fromiter(_masks_of_popcount(n_props, level), dtype=np.uint32,
-                        count=comb(n_props, level))
+    masks = _masks_of_popcount(n_props, level)
     keys = []
     for u in on.tolist():
-        # (m, u & m) avoids off iff m meets every difference set u ^ o
+        # (m, u & m) avoids off iff m meets every difference set u ^ o,
+        # i.e. every minimal one; the smallest set left is always minimal
+        diffs = off ^ np.uint32(u)
+        diffs = diffs[np.argsort(_popcount(diffs), kind="stable")]
         fit = masks
-        for diff in off ^ np.uint32(u):
-            fit = fit[fit & diff != 0]
+        while diffs.size:
+            least = diffs[0]
+            fit = fit[fit & least != 0]
+            diffs = diffs[diffs & least != least]  # least and its supersets
         keys.append(fit.astype(np.uint64) << np.uint64(n_props) | (fit & np.uint32(u)))
     for key in np.unique(np.concatenate(keys)).tolist():
         yield key >> n_props, key & ((1 << n_props) - 1)
@@ -221,26 +259,30 @@ def mine(census: VectorCensus, max_level: int = 8,
         raise ValueError(
             f"census vector 0x{bad[0]:x} exceeds the {n_props}-bit space")
     off = np.array(list(census.counts), dtype=np.uint32)
-    on = np.ones(1 << n_props, dtype=bool)
-    on[off] = False
-    view = on.reshape((2,) * n_props)
+    space = 1 << n_props
+    high = max(n_props - _WORD_BITS, 0)
+    words = np.full(1 << high, (1 << min(space, 64)) - 1, dtype=np.uint64)
+    np.bitwise_and.at(words, off >> _WORD_BITS,
+                      ~(np.uint64(1) << (off & 63).astype(np.uint64)))
+    view = words.reshape((2,) * high)
 
     laws: list[Law] = []
     stats: list[LevelStats] = []
     for level in range(1, max_level + 1):
-        on_now = int(np.count_nonzero(on))
-        stats.append(LevelStats(level, on_now, off.size, on.size - off.size - on_now))
+        on_now = int(_POPCOUNT8[words[words != 0].view(np.uint8)].sum())
+        stats.append(LevelStats(level, on_now, off.size, space - off.size - on_now))
         if on_now == 0:
             break  # nothing below can be prime any more
         if comb(n_props, level) <= on_now:
             candidates = _mask_candidates(off, n_props, level)
         else:
-            candidates = _vector_candidates(off, np.flatnonzero(on), n_props, level)
+            candidates = _vector_candidates(off, _on_vectors(words), n_props, level)
         for mask, value in candidates:
-            cube = _cube(mask, value, n_props)
-            if view[cube].any():
+            idx, pattern = _cube(mask, value, n_props)
+            cube = view[idx]
+            if np.any(cube & pattern):
                 laws.append(Law(len(laws) + 1, Implicant(mask, value)))
-                view[cube] = False
+                view[idx] = cube & ~pattern
     return MineResult(laws, stats, max_level, n_props)
 
 

@@ -116,7 +116,7 @@ def test_criterion_5_mining_catalogue(mined):
                 for i, (a, b) in enumerate(zip(texts, reference)) if a != b]
         assert not diff, f"level {level} order diffs: {diff}"
 
-    assert elapsed < 60, f"full mine took {elapsed:.0f}s"
+    assert elapsed < 10, f"full mine took {elapsed:.1f}s"
 
 
 def test_criterion_6_prime_implicant_suite(pruned_census, mined):

@@ -15,7 +15,7 @@ from rellaws import (
     save_census,
     vector_census,
 )
-from rellaws.census import bulk_holds, bulk_vectors, matrices_from_codes
+from rellaws.census import _words, bulk_holds, bulk_vectors, matrices_from_codes
 from naive import NAIVE, naive_holds
 
 
@@ -50,6 +50,23 @@ class TestBulkKernels:
             assert int(vecs[i]) == naive_vector(r), (n, code)
             for p in PropertyId:
                 assert bool(results[p][i]) == naive_holds(r, p), (n, code, p.name)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_words_pack_the_decoded_matrices(self, n):
+        # row words hold cell (x, y) at bit y, column words at bit x
+        if n <= 3:
+            codes = np.arange(1 << n * n, dtype=np.uint64)
+        else:
+            rng = np.random.default_rng(n)
+            codes = np.append(rng.integers(0, 1 << n * n, size=300, dtype=np.uint64),
+                              np.uint64((1 << n * n) - 1))
+        cells = matrices_from_codes(codes, n).astype(np.uint64)
+        weights = np.uint64(1) << np.arange(n, dtype=np.uint64)
+        rows, cols, full = _words(codes, n)
+        assert full == (1 << n) - 1
+        for i in range(n):
+            assert np.array_equal(rows[i], (cells[:, i, :] * weights).sum(axis=1)), (n, i)
+            assert np.array_equal(cols[i], (cells[:, :, i] * weights).sum(axis=1)), (n, i)
 
     def test_matrices_layout(self):
         code = Relation.from_pairs(2, [(0, 1)]).to_code()

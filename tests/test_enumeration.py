@@ -15,10 +15,10 @@ from rellaws import (
     row_signature,
 )
 from rellaws.enumeration import (
+    _POPCOUNT8,
     iter_all_codes,
     iter_code_chunks,
     iter_normal_codes,
-    normal_form_mask,
     signature_tuples,
 )
 
@@ -28,6 +28,27 @@ relations = st.integers(1, 6).flatmap(
 
 COUNTS_ALL = {1: 2, 2: 16, 3: 512, 4: 65536}
 COUNTS_NORMAL = {1: 2, 2: 10, 3: 140, 4: 6170}
+
+
+def normal_form_mask(codes, n):
+    """Boolean mask: which codes decode to normal-form matrices. Vectorized."""
+    full = np.uint64((1 << n) - 1)
+    ok = np.ones(codes.shape, dtype=bool)
+    prev = None
+    for i in range(n):
+        chunk = (codes >> np.uint64(n * (n - 1 - i))) & full
+        diag = (chunk >> np.uint64(n - 1 - i)) & np.uint64(1)
+        c = _POPCOUNT8[chunk.astype(np.uint8)].astype(np.int16) - diag.astype(np.int16)
+        sig = 2 * c + diag.astype(np.int16)
+        if prev is not None:
+            ok &= prev <= sig
+        prev = sig
+    return ok
+
+
+def relations_of(chunks, n):
+    """One Relation per code of a code stream, in stream order."""
+    return [Relation.from_code(n, code) for chunk in chunks for code in chunk.tolist()]
 
 
 class TestSignatures:
@@ -140,19 +161,13 @@ class TestGeneration:
                 assert is_normal_form(Relation.from_code(4, code))
 
 
-class TestVisitor:
-    def test_visitor_sees_every_relation_once(self):
-        seen = []
-        count = enumerate_all(2, visitor=seen.append)
-        assert count == 16
-        assert len(seen) == 16
+class TestRelationsFromCodes:
+    def test_all_codes_give_every_relation_once(self):
+        seen = relations_of(iter_all_codes(2), 2)
+        assert enumerate_all(2) == len(seen) == 16
         assert len({r.to_code() for r in seen}) == 16
 
-    def test_normal_visitor_sees_normal_forms(self):
-        seen = []
-        count = enumerate_normal(3, visitor=seen.append)
-        assert count == len(seen) == 140
+    def test_normal_codes_give_normal_forms(self):
+        seen = relations_of(iter_normal_codes(3), 3)
+        assert enumerate_normal(3) == len(seen) == 140
         assert all(is_normal_form(r) for r in seen)
-
-    def test_counts_agree_with_and_without_visitor(self):
-        assert enumerate_normal(3) == enumerate_normal(3, visitor=lambda r: None)

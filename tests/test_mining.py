@@ -154,6 +154,11 @@ class TestReferenceMiner:
                 return _real(*args)
             monkeypatch.setattr(mining, source, counted)
 
+        # the on-set packs vectors 64 to a word: a law's literals below
+        # bit 6 select bits inside each word, those above select words
+        split = {"in-word": 0, "words": 0, "both": 0}
+        widths = {"< 6": 0, "= 6": 0, "> 6": 0}
+
         rng = random.Random(41)
         for n_props in range(1, 11):
             space = 1 << n_props
@@ -168,7 +173,15 @@ class TestReferenceMiner:
                     assert [(s.level, s.on_at_start, s.off_count,
                              s.dontcare_at_start)
                             for s in result.level_stats] == stats, case
+                    for law in result.laws:
+                        low, high = law.implicant.mask & 63, law.implicant.mask >> 6
+                        split["both" if low and high else
+                              "in-word" if low else "words"] += 1
+                        widths["< 6" if n_props < 6 else
+                               "= 6" if n_props == 6 else "> 6"] += 1
         assert served["masks"] > 0 and served["vectors"] > 0, served
+        assert all(split.values()), split
+        assert all(widths.values()), widths
 
 
 class TestMineValidation:

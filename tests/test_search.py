@@ -8,12 +8,12 @@ from rellaws import (
     LiteralConjunction,
     PropertyId,
     Relation,
-    enumerate_normal,
     export_dot,
     find_witness,
     holds,
     min_universe,
 )
+from rellaws.enumeration import iter_normal_codes
 
 
 def query(require=(), forbid=()):
@@ -26,9 +26,8 @@ def random_relation(rng, n):
 
 
 def normal_relations(n):
-    out = []
-    enumerate_normal(n, out.append)
-    return out
+    return [Relation.from_code(n, code)
+            for chunk in iter_normal_codes(n) for code in chunk.tolist()]
 
 
 class TestLiteralConjunction:
