@@ -161,13 +161,18 @@ class TestGeneration:
                 assert is_normal_form(Relation.from_code(4, code))
 
 
-class TestRelationsFromCodes:
-    def test_all_codes_give_every_relation_once(self):
+class TestVisitor:
+    """Visiting each relation of a code stream, built with Relation.from_code."""
+
+    def test_visitor_sees_every_relation_once(self):
         seen = relations_of(iter_all_codes(2), 2)
         assert enumerate_all(2) == len(seen) == 16
         assert len({r.to_code() for r in seen}) == 16
 
-    def test_normal_codes_give_normal_forms(self):
+    def test_normal_visitor_sees_normal_forms(self):
         seen = relations_of(iter_normal_codes(3), 3)
         assert enumerate_normal(3) == len(seen) == 140
         assert all(is_normal_form(r) for r in seen)
+
+    def test_counts_agree_with_and_without_visitor(self):
+        assert enumerate_normal(3) == len(relations_of(iter_normal_codes(3), 3))
