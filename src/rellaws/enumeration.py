@@ -13,8 +13,16 @@ form: distinct normal-form matrices can still be isomorphic.
 Enumeration is chunked: the workhorse generators yield numpy arrays of
 relation codes (the row-major bit-string encoding from `relation`), which
 is what lets censuses over 2^25 matrices finish in tens of seconds instead
-of days. `enumerate_all` / `enumerate_normal` drive them to count the
-relations of each enumeration.
+of days. The normal forms with a given signature tuple are the cartesian
+product of one signature group of rows per position, so
+`iter_normal_codes` builds them directly: with the group rows of every
+position laid out once per n, a run of tuples is expanded position by
+position, each partial code repeated once per row of its group there and
+that row ORed in. There is no per-tuple Python work and no filtering of
+the full space; runs are bounded to about `_EXPAND_CODES` codes and the
+stream is cut into chunks of exactly the chunk size. `enumerate_all` /
+`enumerate_normal` drive the generators to count the relations of each
+enumeration.
 
 Order contract:
 
@@ -31,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import comb, prod
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -75,27 +84,11 @@ def canonicalize(r: Relation) -> Relation:
     return r.permute(order)
 
 
-# -- row group tables --------------------------------------------------------
+# -- signature groups --------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _row_groups(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per row position: the 2n signature groups, each a sorted tuple of
-    row chunk values (bit n-1-y = cell value at column y).
-
-    Group index g = 2*c + d for signature (c, d), so ascending g is exactly
-    ascending signature. Group sizes depend only on (c, d); the member
-    patterns depend on the row position because the diagonal moves.
-    """
-    per_position = []
-    for i in range(n):
-        diag_bit = 1 << (n - 1 - i)
-        groups: list[list[int]] = [[] for _ in range(2 * n)]
-        for chunk in range(1 << n):
-            d = 1 if chunk & diag_bit else 0
-            c = bin(chunk & ~diag_bit).count("1")
-            groups[2 * c + d].append(chunk)
-        per_position.append(tuple(tuple(sorted(g)) for g in groups))
-    return tuple(per_position)
+# codes `iter_normal_codes` expands at a time: this bounds its working
+# arrays (expanding whole 2^18-code chunks took about 10 MiB more memory)
+_EXPAND_CODES = 1 << 15
 
 
 def signature_tuples(n: int) -> Iterator[tuple[int, ...]]:
@@ -103,30 +96,88 @@ def signature_tuples(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.combinations_with_replacement(range(2 * n), n)
 
 
+def _group_sizes(n: int) -> list[int]:
+    """Rows per signature group g = 2*c + d: the c-subsets of the n-1
+    off-diagonal cells, whatever the diagonal bit d."""
+    return [comb(n - 1, g // 2) for g in range(2 * n)]
+
+
+class _Layout(NamedTuple):
+    tuples: np.ndarray   # (T, n) int32: the signature tuples, in order
+    sizes: np.ndarray    # (2n,) rows per group; the same at every position
+    starts: np.ndarray   # (2n,) offset of each group in a row of `rows`
+    rows: np.ndarray     # (n, 2^n) uint64: position i's groups back to back,
+                         # each ascending, shifted into row i of the code
+    offsets: np.ndarray  # (T + 1,) codes before each tuple; the last is the total
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int) -> _Layout:
+    """The tables `iter_normal_codes` expands signature tuples with.
+
+    A row chunk (bit n-1-y = cell value at column y) at position i is in
+    group g = 2*c + d for its signature (c, d), so ascending g is exactly
+    ascending signature. Group sizes depend only on (c, d); the member
+    chunks depend on the position because the diagonal moves.
+    """
+    tuples = np.fromiter(itertools.chain.from_iterable(signature_tuples(n)),
+                         dtype=np.int32).reshape(-1, n)
+    sizes = np.array(_group_sizes(n), dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    rows = np.empty((n, 1 << n), dtype=np.uint64)
+    for i in range(n):
+        diag_bit = 1 << (n - 1 - i)
+        chunks = sorted(range(1 << n), key=lambda chunk: (
+            2 * (chunk & ~diag_bit).bit_count() + bool(chunk & diag_bit), chunk))
+        rows[i] = np.array(chunks, dtype=np.uint64) << np.uint64(n * (n - 1 - i))
+    offsets = np.zeros(len(tuples) + 1, dtype=np.int64)
+    np.cumsum(np.prod(sizes[tuples], axis=1), out=offsets[1:])
+    return _Layout(tuples, sizes, starts, rows, offsets)
+
+
+def _expand(layout: _Layout, first: int, stop: int) -> np.ndarray:
+    """The codes of signature tuples first .. stop-1, in stream order.
+
+    Row by row, each partial code is repeated once per row of its group at
+    that position and the rows are ORed in, so row 0 varies slowest and
+    the last row fastest.
+    """
+    tuples = layout.tuples[first:stop]
+    codes = np.zeros(len(tuples), dtype=np.uint64)
+    owner = np.arange(len(tuples))  # tuple of each partial code
+    for i, rows in enumerate(layout.rows):
+        g = tuples[owner, i]
+        reps = layout.sizes[g]
+        ends = np.cumsum(reps)
+        # a code's rank in its group is its index less its segment's start
+        index = np.repeat(layout.starts[g] - (ends - reps), reps)
+        index += np.arange(ends[-1])
+        codes = np.repeat(codes, reps) | rows[index]
+        if i + 1 < len(layout.rows):
+            owner = np.repeat(owner, reps)
+    return codes
+
+
 def normal_form_count(n: int) -> int:
     """Count of normal-form matrices by direct combinatorics (no enumeration)."""
     if not 1 <= n <= NMAX:
         raise ValueError(f"universe size must be between 1 and {NMAX}, got {n}")
-    from math import comb
-    sizes = {}
-    for c in range(n):
-        for d in (0, 1):
-            sizes[2 * c + d] = comb(n - 1, c)
-    total = 0
-    for tup in signature_tuples(n):
-        prod = 1
-        for g in tup:
-            prod *= sizes[g]
-        total += prod
-    return total
+    sizes = _group_sizes(n)
+    return sum(prod(sizes[g] for g in tup) for tup in signature_tuples(n))
 
 
 # -- chunked code generators -------------------------------------------------
 
-def iter_all_codes(n: int, chunk_size: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
-    """Every code 0 .. 2^(n*n)-1 in ascending order, as uint64 chunks."""
+def _check_args(n: int, chunk_size: int) -> None:
     if not 1 <= n <= NMAX:
         raise ValueError(f"universe size must be between 1 and {NMAX}, got {n}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk size must be at least 1, got {chunk_size}")
+
+
+def iter_all_codes(n: int, chunk_size: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
+    """Every code 0 .. 2^(n*n)-1 in ascending order, as uint64 chunks."""
+    _check_args(n, chunk_size)
     total = 1 << (n * n)
     start = 0
     while start < total:
@@ -138,26 +189,26 @@ def iter_all_codes(n: int, chunk_size: int = DEFAULT_CHUNK) -> Iterator[np.ndarr
 def iter_normal_codes(n: int, chunk_size: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
     """Every normal-form code in the documented enumerate_normal order.
 
-    Generation is row-group-wise: for each nondecreasing signature tuple
-    the member matrices are the cartesian product of the per-position group
-    rows, built directly. Nothing is filtered out of the full space. Blocks
-    are gathered and cut so that no chunk holds more than chunk_size codes.
+    The codes of a signature tuple are the cartesian product of its
+    per-position group rows, built directly: nothing is filtered out of
+    the full space. Runs of whole tuples holding about `_EXPAND_CODES`
+    codes (one tuple, if it alone holds more) are expanded at once, and
+    the stream is cut into chunks of exactly chunk_size codes; only the
+    last chunk may be shorter.
     """
-    if not 1 <= n <= NMAX:
-        raise ValueError(f"universe size must be between 1 and {NMAX}, got {n}")
-    groups = _row_groups(n)
-    shifts = [n * (n - 1 - i) for i in range(n)]
+    _check_args(n, chunk_size)
+    layout = _layout(n)
+    offsets = layout.offsets
     pending: list[np.ndarray] = []
     pending_len = 0
-    for tup in signature_tuples(n):
-        arrays = [
-            np.array(groups[i][g], dtype=np.uint64) << np.uint64(shifts[i])
-            for i, g in enumerate(tup)
-        ]
-        block = arrays[0]
-        for arr in arrays[1:]:
-            # C-order ravel keeps the later row varying fastest
-            block = (block[:, None] + arr[None, :]).ravel()
+    first = 0
+    while first < len(layout.tuples):
+        # the longest run of tuples from `first` within the bound, at least one
+        stop = int(np.searchsorted(offsets, offsets[first] + _EXPAND_CODES,
+                                   side="right")) - 1
+        stop = max(stop, first + 1)
+        block = _expand(layout, first, stop)
+        first = stop
         pending.append(block)
         pending_len += block.size
         if pending_len >= chunk_size:

@@ -116,6 +116,12 @@ class TestVectorCensus:
         b = vector_census(3, pruned=True)
         assert a == b
 
+    @pytest.mark.parametrize("chunk_size", [0, -3])
+    def test_rejects_chunk_size_below_one(self, chunk_size):
+        # a chunk size of -3 used to drop every code and return an empty census
+        with pytest.raises(ValueError):
+            vector_census(2, pruned=True, chunk_size=chunk_size)
+
     def test_merge(self):
         a = vector_census(3, pruned=False)
         parts = list(a.counts.items())

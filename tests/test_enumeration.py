@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,12 @@ relations = st.integers(1, 6).flatmap(
 COUNTS_ALL = {1: 2, 2: 16, 3: 512, 4: 65536}
 COUNTS_NORMAL = {1: 2, 2: 10, 3: 140, 4: 6170}
 
+# sha256 of little-endian uint64 code streams, pinned when the normal-form
+# stream was still built one signature tuple at a time
+SHA256_NORMAL_5 = "e3e833e832f177e67c83f09b9256421d06966e702a21858c89033059a1e1ed4c"
+SHA256_NORMAL_6_FIRST_TWO_CHUNKS = (
+    "f96afb95e7444934f4c311f3755523c8d5ff8b6f4d296eb51de85a1362c96a26")
+
 
 def normal_form_mask(codes, n):
     """Boolean mask: which codes decode to normal-form matrices. Vectorized."""
@@ -44,6 +52,13 @@ def normal_form_mask(codes, n):
             ok &= prev <= sig
         prev = sig
     return ok
+
+
+def sha256_of(chunks):
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk.astype("<u8").tobytes())
+    return digest.hexdigest()
 
 
 def relations_of(chunks, n):
@@ -121,6 +136,14 @@ class TestCounts:
         with pytest.raises(ValueError):
             enumerate_normal(9)
 
+    @pytest.mark.parametrize("stream", [iter_all_codes, iter_normal_codes])
+    @pytest.mark.parametrize("chunk_size", [0, -3])
+    def test_rejects_chunk_size_below_one(self, stream, chunk_size):
+        # next() only: a chunk size of 0 used to make iter_all_codes yield
+        # empty chunks forever
+        with pytest.raises(ValueError):
+            next(stream(2, chunk_size))
+
 
 class TestGeneration:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -149,6 +172,15 @@ class TestGeneration:
         assert np.array_equal(np.concatenate(chunks),
                               np.concatenate(list(iter_normal_codes(4))))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_chunk_boundaries(self, n):
+        whole = np.concatenate(list(iter_normal_codes(n)))
+        for chunk_size in (1, 17, 4099, whole.size, whole.size + 1):
+            chunks = list(iter_normal_codes(n, chunk_size))
+            assert all(c.size == chunk_size for c in chunks[:-1]), chunk_size
+            assert 1 <= chunks[-1].size <= chunk_size, chunk_size
+            assert np.array_equal(np.concatenate(chunks), whole), chunk_size
+
     def test_iter_code_chunks_dispatch(self):
         a = np.concatenate(list(iter_code_chunks(3, pruned=False)))
         b = np.concatenate(list(iter_code_chunks(3, pruned=True)))
@@ -159,6 +191,34 @@ class TestGeneration:
         for chunk in iter_normal_codes(4):
             for code in chunk.tolist():
                 assert is_normal_form(Relation.from_code(4, code))
+
+
+class TestOrder:
+    """The enumerate_normal order, which defines "first witness"."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stream_order_from_filtering(self, n):
+        # signature tuple first, then each row's rank in its signature
+        # group, row 0 first; a group's rows rank by ascending chunk value
+        codes = np.concatenate(
+            [c[normal_form_mask(c, n)] for c in iter_all_codes(n)]).tolist()
+
+        def key(code):
+            r = Relation.from_code(n, code)
+            chunks = [code >> n * (n - 1 - i) & (1 << n) - 1 for i in range(n)]
+            return [row_signature(r, i) for i in range(n)], chunks
+
+        stream = np.concatenate(list(iter_normal_codes(n))).tolist()
+        assert stream == sorted(codes, key=key)
+
+    def test_stream_hash_n5(self):
+        assert sha256_of(iter_normal_codes(5)) == SHA256_NORMAL_5
+
+    def test_stream_hash_n6_first_chunks(self):
+        stream = iter_normal_codes(6, 1 << 18)
+        chunks = [next(stream), next(stream)]
+        assert [c.size for c in chunks] == [1 << 18, 1 << 18]
+        assert sha256_of(chunks) == SHA256_NORMAL_6_FIRST_TWO_CHUNKS
 
 
 class TestVisitor:
