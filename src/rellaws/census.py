@@ -23,7 +23,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .enumeration import DEFAULT_CHUNK, iter_code_chunks
+from .enumeration import iter_code_chunks
 from .properties import MINED_PROPERTIES, VECTOR_BITS, PropertyId, violation_words
 from .relation import NMAX
 
@@ -119,23 +119,21 @@ class VectorCensus:
         return VectorCensus(self.n, self.pruned, merged)
 
 
-def vector_census(n: int, pruned: bool = False,
-                  chunk_size: int = DEFAULT_CHUNK) -> VectorCensus:
+def vector_census(n: int, pruned: bool = False) -> VectorCensus:
     """Census of property vectors over the chosen enumeration of size-n relations."""
     if not 1 <= n <= NMAX:
         raise ValueError(f"universe size must be between 1 and {NMAX}, got {n}")
     counts: dict[int, int] = {}
-    for chunk in iter_code_chunks(n, pruned, chunk_size):
+    for chunk in iter_code_chunks(n, pruned):
         values, chunk_counts = np.unique(bulk_vectors(chunk, n), return_counts=True)
         for v, c in zip(values.tolist(), chunk_counts.tolist()):
             counts[v] = counts.get(v, 0) + c
     return VectorCensus(n, pruned, {v: counts[v] for v in sorted(counts)})
 
 
-def property_census(n: int, pruned: bool = False,
-                    chunk_size: int = DEFAULT_CHUNK) -> dict[PropertyId, int]:
+def property_census(n: int, pruned: bool = False) -> dict[PropertyId, int]:
     """Per-property satisfaction counts over the chosen enumeration."""
-    return vector_census(n, pruned, chunk_size).property_counts()
+    return vector_census(n, pruned).property_counts()
 
 
 # -- persistence ---------------------------------------------------------------

@@ -4,29 +4,27 @@ Subcommands: props, count, census, mine, star, witness, mincard, verify.
 Exit status 0 on success, 1 when `verify` finds a mismatch, 2 on usage
 errors. All output is deterministic for fixed inputs and flags.
 
-Census results are cached as files keyed by (n, pruned, format version)
-under the directory named by the RELLAWS_CACHE environment variable, when
-it is set. `verify` without --deep trusts the cache; --deep recomputes and
-refreshes it.
+Nothing is cached: `census` computes the census and writes it to --out,
+which is the file `mine --census` reads, and `verify` computes everything
+it reports (the pruned n = 5 census and its full mine; --deep adds the
+unpruned census and the vector occupancy).
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import os
 import sys
 from pathlib import Path
 
 from . import golden
-from .census import (
-    CENSUS_FORMAT,
-    VectorCensus,
-    load_census,
-    save_census,
-    vector_census,
+from .census import VectorCensus, load_census, save_census, vector_census
+from .enumeration import (
+    NORMAL_MAX_N,
+    enumerate_all,
+    enumerate_normal,
+    normal_form_count,
 )
-from .enumeration import enumerate_all, enumerate_normal, normal_form_count
 from .mining import Law, law_line, laws_to_csv, mine
 from .properties import (
     MINED_PROPERTIES,
@@ -46,38 +44,9 @@ from .search import (
     min_universe,
 )
 
-CACHE_ENV = "RELLAWS_CACHE"
-
 
 class _UsageError(Exception):
     pass
-
-
-# -- census cache ---------------------------------------------------------------
-
-def _cache_path(n: int, pruned: bool) -> Path | None:
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    version = CENSUS_FORMAT.split()[-1]
-    mode = "pruned" if pruned else "full"
-    return Path(root) / f"census-{version}-n{n}-{mode}.txt"
-
-
-def get_census(n: int, pruned: bool, use_cache: bool = True,
-               refresh: bool = False) -> VectorCensus:
-    path = _cache_path(n, pruned)
-    if path is not None and use_cache and not refresh and path.exists():
-        with open(path) as fp:
-            census = load_census(fp)
-        if census.n == n and census.pruned == pruned:
-            return census
-    census = vector_census(n, pruned)
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fp:
-            save_census(census, fp)
-    return census
 
 
 # -- commands ---------------------------------------------------------------------
@@ -114,12 +83,12 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    if args.n >= (7 if args.pruned else 6):
+    if args.n > (NORMAL_MAX_N if args.pruned else 5):
         count = _relation_count(args.n, args.pruned)
         what = "normal forms" if args.pruned else "relations"
         raise _UsageError(f"refusing a census of n = {args.n}: {count:,} {what}; "
-                          "the limit is n <= 5, or n <= 6 with --pruned")
-    census = get_census(args.n, args.pruned, use_cache=not args.no_cache)
+                          f"the limit is n <= 5, or n <= {NORMAL_MAX_N} with --pruned")
+    census = vector_census(args.n, args.pruned)
     if args.out == "-":
         save_census(census, sys.stdout)
     else:
@@ -286,36 +255,18 @@ def _verify_mine(rep: _Report, census: VectorCensus) -> bool:
 def _cmd_verify(args) -> int:
     rep = _Report(args.csv)
     all_ok = _verify_counts(rep)
-
+    # mine reads only the census keys, and the pruned and full key sets are
+    # equal (the occupancy table checks it), so the pruned census is mined
+    pruned = vector_census(5, pruned=True)
     if args.deep:
-        full = get_census(5, False, refresh=True)
-        pruned = get_census(5, True, refresh=True)
-    else:
-        full_path = _cache_path(5, False)
-        pruned_path = _cache_path(5, True)
-        full = pruned = None
-        if full_path is not None and full_path.exists():
-            with open(full_path) as fp:
-                full = load_census(fp)
-        if pruned_path is not None and pruned_path.exists():
-            with open(pruned_path) as fp:
-                pruned = load_census(fp)
-
-    if full is not None:
+        full = vector_census(5, pruned=False)
         all_ok &= _verify_census(rep, full,
                                  golden.PROPERTY_CENSUS_UNPRUNED_N5, "unpruned-n5")
-    else:
-        rep.table("property census unpruned-n5", True, "skipped, no cache")
-    if pruned is not None:
-        all_ok &= _verify_census(rep, pruned,
-                                 golden.PROPERTY_CENSUS_PRUNED_N5, "pruned-n5")
-    else:
-        rep.table("property census pruned-n5", True, "skipped, no cache")
-    if full is not None and pruned is not None:
-        all_ok &= _verify_occupancy(rep, full, pruned)
-
+    all_ok &= _verify_census(rep, pruned,
+                             golden.PROPERTY_CENSUS_PRUNED_N5, "pruned-n5")
     if args.deep:
-        all_ok &= _verify_mine(rep, full)
+        all_ok &= _verify_occupancy(rep, full, pruned)
+    all_ok &= _verify_mine(rep, pruned)
 
     if not rep.csv:
         print(f"VERIFY: {'PASS' if all_ok else 'FAIL'}")
@@ -352,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pruned", action="store_true")
     p.add_argument("--out", required=True, help="output path, or - for stdout")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore any cached census")
     p.set_defaults(func=_cmd_census)
 
     p = subs.add_parser("mine", help="mine laws from a census file")
@@ -387,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="check computed results against "
                                        "the published reference values")
     p.add_argument("--deep", action="store_true",
-                   help="recompute the full n=5 censuses and run a full mine")
+                   help="also compute the unpruned n=5 census and the "
+                        "vector occupancy")
     p.add_argument("--csv", action="store_true",
                    help="machine-readable per-item diff")
     p.set_defaults(func=_cmd_verify)

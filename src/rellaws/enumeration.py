@@ -48,6 +48,10 @@ from .relation import NMAX, Relation
 
 DEFAULT_CHUNK = 1 << 18
 
+# the largest n whose normal forms are streamed: the largest signature
+# tuple alone holds 10^6 codes at n = 6 and 1.28 * 10^9 (9.5 GiB) at n = 7
+NORMAL_MAX_N = 6
+
 # set bits of each byte value; `mining` counts its packed on-set with it
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
@@ -194,9 +198,12 @@ def iter_normal_codes(n: int, chunk_size: int = DEFAULT_CHUNK) -> Iterator[np.nd
     the full space. Runs of whole tuples holding about `_EXPAND_CODES`
     codes (one tuple, if it alone holds more) are expanded at once, and
     the stream is cut into chunks of exactly chunk_size codes; only the
-    last chunk may be shorter.
+    last chunk may be shorter. Beyond `NORMAL_MAX_N` it refuses at once.
     """
     _check_args(n, chunk_size)
+    if n > NORMAL_MAX_N:
+        raise ValueError(f"normal forms are streamed for n <= {NORMAL_MAX_N}, "
+                         f"got {n}")
     layout = _layout(n)
     offsets = layout.offsets
     pending: list[np.ndarray] = []

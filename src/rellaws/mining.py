@@ -291,15 +291,16 @@ def mine(census: VectorCensus, max_level: int = 8,
 _CSV_FIELDS = ["seq", "level", "mask_hex", "value_hex", "law_text"]
 
 
+def _csv_row(law: Law) -> list:
+    return [f"{law.seq:03d}", law.level,
+            f"{law.implicant.mask:06x}", f"{law.implicant.value:06x}", law.text]
+
+
 def laws_to_csv(laws: Sequence[Law], fp: TextIO) -> None:
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(_CSV_FIELDS)
     for law in laws:
-        writer.writerow([
-            f"{law.seq:03d}", law.level,
-            f"{law.implicant.mask:06x}", f"{law.implicant.value:06x}",
-            law.text,
-        ])
+        writer.writerow(_csv_row(law))
 
 
 def laws_from_csv(fp: TextIO) -> list[Law]:

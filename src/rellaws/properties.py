@@ -397,17 +397,11 @@ del P
 
 
 def classify_kinds(r: Relation) -> set[RelationKind]:
-    """Every named kind whose defining property conjunction holds for r."""
-    results = set()
-    cache: dict[PropertyId, bool] = {}
-    for kind, needs in KIND_REQUIREMENTS.items():
-        ok = True
-        for p in needs:
-            if p not in cache:
-                cache[p] = holds(r, p)
-            if not cache[p]:
-                ok = False
-                break
-        if ok:
-            results.add(kind)
-    return results
+    """Every named kind whose defining property conjunction holds for r.
+
+    Every property a kind needs carries a vector bit, so the kinds are read
+    off `property_vector(r)`.
+    """
+    vec = property_vector(r)
+    return {kind for kind, needs in KIND_REQUIREMENTS.items()
+            if all(vec >> p.value & 1 for p in needs)}

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 from typing import Sequence, TextIO
 
-from .mining import Implicant, Law, _CSV_FIELDS, parse_law_text
+from .mining import Implicant, Law, _CSV_FIELDS, _csv_row, laws_from_csv
 
 
 def _as_implicant(law) -> Implicant:
@@ -99,21 +99,12 @@ def star_redundant(laws: Sequence[Law]) -> list[bool]:
 # -- CSV round trip -------------------------------------------------------------
 
 def flag_csv(fp_in: TextIO, fp_out: TextIO) -> list[bool]:
-    """Read a law CSV, append a 'redundant' 0/1 column, write it back out."""
-    reader = csv.reader(fp_in)
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header[:5]] != _CSV_FIELDS:
-        raise ValueError(f"not a law CSV (header {header!r})")
-    rows = [row for row in reader if row]
-    laws = []
-    for row in rows:
-        imp = Implicant(int(row[2], 16), int(row[3], 16))
-        if parse_law_text(row[4]) != imp:
-            raise ValueError(f"law {row[0]}: text does not match mask/value")
-        laws.append(Law(int(row[0]), imp))
+    """Read a law CSV as `laws_from_csv` does, and write it back out in the
+    form `laws_to_csv` writes, with a 'redundant' 0/1 column appended."""
+    laws = laws_from_csv(fp_in)
     flags = star_redundant(laws)
     writer = csv.writer(fp_out, lineterminator="\n")
     writer.writerow(_CSV_FIELDS + ["redundant"])
-    for row, flag in zip(rows, flags):
-        writer.writerow(row[:5] + ["1" if flag else "0"])
+    for law, flag in zip(laws, flags):
+        writer.writerow(_csv_row(law) + ["1" if flag else "0"])
     return flags

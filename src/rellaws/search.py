@@ -25,11 +25,11 @@ from typing import Iterable
 import numpy as np
 
 from .census import bulk_holds
-from .enumeration import iter_normal_codes
+from .enumeration import NORMAL_MAX_N, iter_normal_codes
 from .properties import DUAL, PropertyId, holds, parse_property, violations
 from .relation import NMAX, Relation, element_names
 
-EXHAUSTIVE_MAX_N = 6
+EXHAUSTIVE_MAX_N = NORMAL_MAX_N
 DEFAULT_BUDGET = 100_000
 
 

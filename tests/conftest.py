@@ -10,3 +10,13 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "extended" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture
+def no_expansion_tables(monkeypatch):
+    """Fail the test if the normal-form expansion tables get built."""
+    from rellaws import enumeration
+
+    def fail(n):
+        pytest.fail(f"the n = {n} expansion tables were built")
+    monkeypatch.setattr(enumeration, "_layout", fail)

@@ -111,16 +111,10 @@ class TestVectorCensus:
     def test_inhabited_uninhabited_partition(self, census3):
         assert census3.inhabited() + census3.uninhabited() == 1 << 24
 
-    def test_chunk_size_invariance(self):
-        a = vector_census(3, pruned=True, chunk_size=7)
-        b = vector_census(3, pruned=True)
-        assert a == b
-
-    @pytest.mark.parametrize("chunk_size", [0, -3])
-    def test_rejects_chunk_size_below_one(self, chunk_size):
-        # a chunk size of -3 used to drop every code and return an empty census
-        with pytest.raises(ValueError):
-            vector_census(2, pruned=True, chunk_size=chunk_size)
+    def test_refuses_pruned_n7_before_streaming(self, no_expansion_tables):
+        # the n = 7 normal forms would expand a 9.5 GiB signature tuple
+        with pytest.raises(ValueError, match="n <= 6"):
+            vector_census(7, pruned=True)
 
     def test_merge(self):
         a = vector_census(3, pruned=False)

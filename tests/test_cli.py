@@ -7,13 +7,8 @@ import sys
 
 import pytest
 
-from rellaws import Relation, golden, property_vector
+from rellaws import PropertyId, Relation, golden, property_vector
 from rellaws.cli import main
-
-
-@pytest.fixture(autouse=True)
-def no_ambient_cache(monkeypatch):
-    monkeypatch.delenv("RELLAWS_CACHE", raising=False)
 
 
 def run(capsys, *argv):
@@ -102,21 +97,6 @@ class TestCensusCommand:
         assert sum(int(line.split(",")[1]) for line in lines[1:]) == 16
         assert "census n=2 pruned=0:" in err
 
-    def test_cache_file_written_and_reused(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("RELLAWS_CACHE", str(tmp_path / "cache"))
-        out_path = tmp_path / "c.txt"
-        run(capsys, "census", "--n", "2", "--pruned", "--out", str(out_path))
-        cached = tmp_path / "cache" / "census-v1-n2-pruned.txt"
-        assert cached.read_text() == out_path.read_text()
-        # a poisoned cache is trusted unless --no-cache asks for recompute
-        cached.write_text("relcensus v1 n=2 pruned=1 props=24\n000001,7\n")
-        run(capsys, "census", "--n", "2", "--pruned", "--out", str(out_path))
-        assert out_path.read_text() == cached.read_text()
-        run(capsys, "census", "--n", "2", "--pruned", "--out", str(out_path),
-            "--no-cache")
-        assert "000001,7" not in out_path.read_text()
-
-
     def test_refuses_unpruned_n6(self, capsys, tmp_path):
         code, out, err = run(capsys, "census", "--n", "6",
                              "--out", str(tmp_path / "c.txt"))
@@ -175,6 +155,15 @@ class TestPipeline:
                              "--out", str(out_path))
         assert code == 2 and "error:" in err and out == ""
         assert out_path.read_bytes() == b"seq,level\n1,2\n"
+
+    def test_star_rejects_level_mismatch(self, capsys, tmp_path):
+        # level 5 for a two-literal mask; star reads laws as mine --csv wrote them
+        laws_path = tmp_path / "laws.csv"
+        laws_path.write_text("seq,level,mask_hex,value_hex,law_text\n"
+                             "001,5,000003,000001,Empty ~Univ\n")
+        code, out, err = run(capsys, "star", "--laws", str(laws_path))
+        assert code == 2 and out == ""
+        assert "error: law 001: level 5 does not match mask" in err
 
     def test_mine_rejects_missing_census(self, capsys, tmp_path):
         code, _, err = run(capsys, "mine", "--census", str(tmp_path / "no.txt"))
@@ -241,12 +230,18 @@ class TestMincardCommand:
 
 
 class TestVerifyCommand:
-    def test_counts_only_without_cache(self, capsys):
+    DEFAULT_TABLES = [
+        "relation counts n<=4: PASS",
+        "property census pruned-n5: PASS (24 properties)",
+        "mining level counts: PASS",
+        "law texts levels 2-3: PASS",
+    ]
+
+    def test_default_checks_pruned_census_and_mine(self, capsys):
         code, out, _ = run(capsys, "verify")
         assert code == 0
-        assert "relation counts n<=4: PASS" in out
-        assert "skipped, no cache" in out
-        assert out.splitlines()[-1] == "VERIFY: PASS"
+        assert out.splitlines() == self.DEFAULT_TABLES + ["VERIFY: PASS"]
+        assert "skipped" not in out
 
     def test_csv_mode_lists_items(self, capsys):
         code, out, _ = run(capsys, "verify", "--csv")
@@ -254,20 +249,49 @@ class TestVerifyCommand:
         lines = out.splitlines()
         assert lines[0] == "table,item,expected,actual,status"
         assert "counts-unpruned,n=4,65536,65536,ok" in lines
+        refl = golden.PROPERTY_CENSUS_PRUNED_N5[PropertyId.Refl]
+        total = golden.TOTAL_LAWS
+        assert f"pruned-n5,Refl,{refl},{refl},ok" in lines
+        assert f"mine-level-counts,total,{total},{total},ok" in lines
+        assert "laws-level-3,sequence-equal,True,True,ok" in lines
         assert all(line.endswith(",ok") for line in lines[1:])
 
-    def test_wrong_cached_census_fails(self, capsys, tmp_path, monkeypatch):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        (cache / "census-v1-n5-pruned.txt").write_text(
-            "relcensus v1 n=5 pruned=1 props=24\n000000,1\n00c000,9\n")
-        monkeypatch.setenv("RELLAWS_CACHE", str(cache))
+    def test_census_mismatch_fails(self, capsys, monkeypatch):
+        refl = golden.PROPERTY_CENSUS_PRUNED_N5[PropertyId.Refl]
+        monkeypatch.setitem(golden.PROPERTY_CENSUS_PRUNED_N5, PropertyId.Refl,
+                            refl + 1)
         code, out, _ = run(capsys, "verify")
         assert code == 1
-        assert "property census pruned-n5: FAIL" in out
-        assert "expected" in out  # per-item mismatch lines
-        assert out.splitlines()[-1] == "VERIFY: FAIL"
-        assert "property census unpruned-n5: PASS (skipped, no cache)" in out
+        lines = out.splitlines()
+        assert f"  pruned-n5 / Refl: expected {refl + 1}, got {refl}" in lines
+        assert "property census pruned-n5: FAIL (24 properties)" in lines
+        assert "mining level counts: PASS" in lines
+        assert lines[-1] == "VERIFY: FAIL"
+
+    def test_law_text_mismatch_fails(self, capsys, monkeypatch):
+        texts = golden.LAW_TEXTS_LEVEL2
+        monkeypatch.setattr(golden, "LAW_TEXTS_LEVEL2", texts[1:] + ["Empty Dense"])
+        code, out, _ = run(capsys, "verify")
+        assert code == 1
+        lines = out.splitlines()
+        assert "  laws-level-2: missing 'Empty Dense'" in lines
+        assert f"  laws-level-2: unexpected {texts[0]!r}" in lines
+        assert "law texts levels 2-3: FAIL" in lines
+        assert lines[-1] == "VERIFY: FAIL"
+
+    @pytest.mark.slow
+    def test_deep_adds_unpruned_census_and_occupancy(self, capsys):
+        code, out, _ = run(capsys, "verify", "--deep")
+        assert code == 0
+        assert out.splitlines() == [
+            "relation counts n<=4: PASS",
+            "property census unpruned-n5: PASS (24 properties)",
+            "property census pruned-n5: PASS (24 properties)",
+            "vector census occupancy: PASS",
+            "mining level counts: PASS",
+            "law texts levels 2-3: PASS",
+            "VERIFY: PASS",
+        ]
 
 
 def test_installed_script_smoke():

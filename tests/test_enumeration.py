@@ -144,6 +144,11 @@ class TestCounts:
         with pytest.raises(ValueError):
             next(stream(2, chunk_size))
 
+    def test_refuses_normal_forms_beyond_six(self, no_expansion_tables):
+        # the largest n = 7 signature tuple alone holds 1.28 * 10^9 codes
+        with pytest.raises(ValueError, match="n <= 6"):
+            next(iter_normal_codes(7))
+
 
 class TestGeneration:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -250,6 +250,16 @@ class TestKinds:
         assert RelationKind.BijectiveFunction in kinds
         assert RelationKind.TotalFunction in kinds
 
+    def test_matches_naive_kinds_up_to_three(self):
+        seen = set()
+        for n, code in ((n, c) for n in range(1, 4) for c in range(1 << n * n)):
+            r = Relation.from_code(n, code)
+            expected = {kind for kind, needs in KIND_REQUIREMENTS.items()
+                        if all(naive_holds(r, p) for p in needs)}
+            assert classify_kinds(r) == expected, r
+            seen |= expected
+        assert seen == set(RelationKind)  # every one of the 15 kinds occurs
+
     def test_kind_requirements_cover_all_kinds(self):
         assert set(KIND_REQUIREMENTS) == set(RelationKind)
         for req in KIND_REQUIREMENTS.values():
