@@ -26,7 +26,6 @@ from .enumeration import (
 from .census import (
     VectorCensus,
     load_census,
-    property_census,
     save_census,
     vector_census,
 )
@@ -56,8 +55,7 @@ __all__ = [
     "parse_property", "property_vector", "vector_properties",
     "RowSignature", "canonicalize", "enumerate_all", "enumerate_normal",
     "is_normal_form", "normal_form_count", "row_signature",
-    "VectorCensus", "load_census", "property_census", "save_census",
-    "vector_census",
+    "VectorCensus", "load_census", "save_census", "vector_census",
     "Implicant", "Law", "MineResult",
     "format_law", "law_line", "laws_from_csv", "laws_to_csv", "mine",
     "parse_law_text",

@@ -1,15 +1,17 @@
-"""Property and vector censuses over full or pruned enumerations.
+"""Property and vector censuses over the normal-form stream.
 
-A census over all 2^25 five-element relations needs more than one Python
-call per relation, so this module evaluates the predicates of `properties`
-on whole chunks of relation codes at once. A chunk is decoded into row and
-column words, one numpy uint8 array per element with one entry per code,
-and the same word-level predicates that `holds` runs on Python ints run on
-those arrays. Row x of a code is its n-bit field at bit n*(n-1-x), with
-cell (x, y) at bit n-1-y, so a shift, a mask and a 2^n-entry bit-reversal
-table give the row word (cell (x, y) at bit y); the column words are then
-packed from the row bits, and no per-cell array is built. A full unpruned
-n = 5 vector census is a pass over 128 chunks, each tallied as it goes.
+Both censuses visit only the normal forms; the unpruned one counts each by
+its `normal_form_weights`, the relations that `canonicalize` sorts to it,
+which share its property vector. The predicates of `properties` are
+evaluated on whole chunks of relation codes at once. A chunk is decoded
+into row and column words, one numpy uint8 array per element with one
+entry per code, and the same word-level predicates that `holds` runs on
+Python ints run on those arrays. Row x of a code is its n-bit field at bit
+n*(n-1-x), with cell (x, y) at bit n-1-y, so a shift, a mask and a
+2^n-entry bit-reversal table give the row word (cell (x, y) at bit y); the
+column words are then packed from the row bits, and no per-cell array is
+built. An n = 5 census of either kind is a pass over 4 chunks of normal
+forms, each tallied as it goes.
 
 Since the bulk path and `holds` share their predicates, neither checks the
 other; the tests check both against `tests/naive.py`, an independent
@@ -23,7 +25,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .enumeration import iter_code_chunks
+from .enumeration import iter_code_chunks, normal_form_weights
 from .properties import MINED_PROPERTIES, VECTOR_BITS, PropertyId, violation_words
 from .relation import NMAX
 
@@ -84,7 +86,7 @@ def bulk_vectors(codes: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class VectorCensus:
-    """How many visited relations produced each 24-bit property vector."""
+    """How many relations of the enumeration produce each 24-bit property vector."""
 
     n: int
     pruned: bool
@@ -98,7 +100,7 @@ class VectorCensus:
         return len(self.counts)
 
     def uninhabited(self) -> int:
-        """Number of 24-bit vectors no visited relation produces."""
+        """Number of 24-bit vectors no relation of the enumeration produces."""
         return (1 << VECTOR_BITS) - len(self.counts)
 
     def property_counts(self) -> dict[PropertyId, int]:
@@ -109,31 +111,22 @@ class VectorCensus:
                     totals[p] += cnt
         return totals
 
-    def merge(self, other: "VectorCensus") -> "VectorCensus":
-        """Combine partition results; merging is commutative and associative."""
-        if (self.n, self.pruned) != (other.n, other.pruned):
-            raise ValueError("cannot merge censuses of different enumerations")
-        merged = dict(self.counts)
-        for vec, cnt in other.counts.items():
-            merged[vec] = merged.get(vec, 0) + cnt
-        return VectorCensus(self.n, self.pruned, merged)
-
 
 def vector_census(n: int, pruned: bool = False) -> VectorCensus:
     """Census of property vectors over the chosen enumeration of size-n relations."""
-    if not 1 <= n <= NMAX:
-        raise ValueError(f"universe size must be between 1 and {NMAX}, got {n}")
     counts: dict[int, int] = {}
-    for chunk in iter_code_chunks(n, pruned):
-        values, chunk_counts = np.unique(bulk_vectors(chunk, n), return_counts=True)
-        for v, c in zip(values.tolist(), chunk_counts.tolist()):
+    for chunk in iter_code_chunks(n, pruned=True):
+        vecs = bulk_vectors(chunk, n)
+        if pruned:
+            values, tallies = np.unique(vecs, return_counts=True)
+        else:
+            # one key per (vector, weight) pair, the weight in the low 16 bits
+            keys = vecs.astype(np.int64) << 16 | normal_form_weights(chunk, n)
+            keys, pairs = np.unique(keys, return_counts=True)
+            values, tallies = keys >> 16, (keys & 0xFFFF) * pairs
+        for v, c in zip(values.tolist(), tallies.tolist()):
             counts[v] = counts.get(v, 0) + c
     return VectorCensus(n, pruned, {v: counts[v] for v in sorted(counts)})
-
-
-def property_census(n: int, pruned: bool = False) -> dict[PropertyId, int]:
-    """Per-property satisfaction counts over the chosen enumeration."""
-    return vector_census(n, pruned).property_counts()
 
 
 # -- persistence ---------------------------------------------------------------
@@ -158,8 +151,10 @@ def load_census(fp: TextIO) -> VectorCensus:
     fields = dict(p.split("=", 1) for p in parts[2:])
     if fields.get("props") != str(VECTOR_BITS):
         raise ValueError(f"unsupported property count {fields.get('props')}")
-    n = int(fields["n"])
-    pruned = fields["pruned"] == "1"
+    n_s, pruned_s = fields.get("n", ""), fields.get("pruned")
+    if not (n_s.isdecimal() and 1 <= int(n_s) <= NMAX) or pruned_s not in ("0", "1"):
+        raise ValueError(f"census header needs n=1..{NMAX} and pruned=0 or 1: {header!r}")
+    n, pruned = int(n_s), pruned_s == "1"
     counts: dict[int, int] = {}
     prev = -1
     for lineno, line in enumerate(fp, start=2):

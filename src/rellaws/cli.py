@@ -6,8 +6,7 @@ errors. All output is deterministic for fixed inputs and flags.
 
 Nothing is cached: `census` computes the census and writes it to --out,
 which is the file `mine --census` reads, and `verify` computes everything
-it reports (the pruned n = 5 census and its full mine; --deep adds the
-unpruned census and the vector occupancy).
+it reports: both n = 5 censuses, their vector occupancy and the full mine.
 """
 
 from __future__ import annotations
@@ -83,11 +82,10 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    if args.n > (NORMAL_MAX_N if args.pruned else 5):
-        count = _relation_count(args.n, args.pruned)
-        what = "normal forms" if args.pruned else "relations"
-        raise _UsageError(f"refusing a census of n = {args.n}: {count:,} {what}; "
-                          f"the limit is n <= 5, or n <= {NORMAL_MAX_N} with --pruned")
+    if args.n > NORMAL_MAX_N:
+        raise _UsageError(f"refusing a census of n = {args.n}: "
+                          f"{normal_form_count(args.n):,} normal forms; "
+                          f"the limit is n <= {NORMAL_MAX_N}")
     census = vector_census(args.n, args.pruned)
     if args.out == "-":
         save_census(census, sys.stdout)
@@ -255,18 +253,14 @@ def _verify_mine(rep: _Report, census: VectorCensus) -> bool:
 def _cmd_verify(args) -> int:
     rep = _Report(args.csv)
     all_ok = _verify_counts(rep)
-    # mine reads only the census keys, and the pruned and full key sets are
-    # equal (the occupancy table checks it), so the pruned census is mined
+    full = vector_census(5, pruned=False)
     pruned = vector_census(5, pruned=True)
-    if args.deep:
-        full = vector_census(5, pruned=False)
-        all_ok &= _verify_census(rep, full,
-                                 golden.PROPERTY_CENSUS_UNPRUNED_N5, "unpruned-n5")
+    all_ok &= _verify_census(rep, full,
+                             golden.PROPERTY_CENSUS_UNPRUNED_N5, "unpruned-n5")
     all_ok &= _verify_census(rep, pruned,
                              golden.PROPERTY_CENSUS_PRUNED_N5, "pruned-n5")
-    if args.deep:
-        all_ok &= _verify_occupancy(rep, full, pruned)
-    all_ok &= _verify_mine(rep, pruned)
+    all_ok &= _verify_occupancy(rep, full, pruned)
+    all_ok &= _verify_mine(rep, full)
 
     if not rep.csv:
         print(f"VERIFY: {'PASS' if all_ok else 'FAIL'}")
@@ -335,9 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="check computed results against "
                                        "the published reference values")
-    p.add_argument("--deep", action="store_true",
-                   help="also compute the unpruned n=5 census and the "
-                        "vector occupancy")
     p.add_argument("--csv", action="store_true",
                    help="machine-readable per-item diff")
     p.set_defaults(func=_cmd_verify)

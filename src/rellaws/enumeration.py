@@ -11,18 +11,17 @@ representative of every isomorphism class. Normal form is not a canonical
 form: distinct normal-form matrices can still be isomorphic.
 
 Enumeration is chunked: the workhorse generators yield numpy arrays of
-relation codes (the row-major bit-string encoding from `relation`), which
-is what lets censuses over 2^25 matrices finish in tens of seconds instead
-of days. The normal forms with a given signature tuple are the cartesian
-product of one signature group of rows per position, so
-`iter_normal_codes` builds them directly: with the group rows of every
-position laid out once per n, a run of tuples is expanded position by
-position, each partial code repeated once per row of its group there and
-that row ORed in. There is no per-tuple Python work and no filtering of
-the full space; runs are bounded to about `_EXPAND_CODES` codes and the
-stream is cut into chunks of exactly the chunk size. `enumerate_all` /
-`enumerate_normal` drive the generators to count the relations of each
-enumeration.
+relation codes (the row-major bit-string encoding from `relation`), and
+`normal_form_weights` gives the relations each normal form stands for.
+The normal forms with a given signature tuple are the cartesian product
+of one signature group of rows per position, so `iter_normal_codes`
+builds them directly: with the group rows of every position laid out once
+per n, a run of tuples is expanded position by position, each partial
+code repeated once per row of its group there and that row ORed in. There
+is no per-tuple Python work and no filtering of the full space; runs are
+bounded to about `_EXPAND_CODES` codes and the stream is cut into chunks
+of exactly the chunk size. `enumerate_all` / `enumerate_normal` drive the
+generators to count the relations of each enumeration.
 
 Order contract:
 
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb, prod
+from math import comb, factorial, prod
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -168,6 +167,23 @@ def normal_form_count(n: int) -> int:
         raise ValueError(f"universe size must be between 1 and {NMAX}, got {n}")
     sizes = _group_sizes(n)
     return sum(prod(sizes[g] for g in tup) for tup in signature_tuples(n))
+
+
+def normal_form_weights(codes: np.ndarray, n: int) -> np.ndarray:
+    """How many relations `canonicalize` sorts to each normal-form code:
+    n!/(m1! m2! ...) for the lengths m of its runs of equal row signatures,
+    the ways to deal the runs out to n positions in their stable order."""
+    def group(i):  # 2*c + d for the signature (c, d) of row i: c + d bits set
+        row = (codes >> np.uint64(n * (n - 1 - i))).astype(np.uint8) & (1 << n) - 1
+        return 2 * _POPCOUNT8[row] - (row >> n - 1 - i & 1)
+    divisor = np.ones(codes.shape, dtype=np.int64)  # m1! m2! ... so far
+    run, prev = np.ones(codes.shape, dtype=np.uint8), group(0)
+    for i in range(1, n):
+        sig = group(i)
+        run = np.where(sig == prev, run + 1, 1)
+        divisor *= run
+        prev = sig
+    return factorial(n) // divisor
 
 
 # -- chunked code generators -------------------------------------------------

@@ -1,6 +1,11 @@
 import os
+from collections import Counter
 
+import numpy as np
 import pytest
+
+from rellaws.census import bulk_vectors
+from rellaws.enumeration import iter_all_codes
 
 
 def pytest_collection_modifyitems(config, items):
@@ -20,3 +25,16 @@ def no_expansion_tables(monkeypatch):
     def fail(n):
         pytest.fail(f"the n = {n} expansion tables were built")
     monkeypatch.setattr(enumeration, "_layout", fail)
+
+
+@pytest.fixture(scope="session")
+def direct_census():
+    """The unpruned vector census by brute force: `bulk_vectors` over every
+    code 0 .. 2^(n*n)-1, the reference for the weighted census."""
+    def tally(n):
+        counts = Counter()
+        for codes in iter_all_codes(n):
+            values, chunk_counts = np.unique(bulk_vectors(codes, n), return_counts=True)
+            counts.update(dict(zip(values.tolist(), chunk_counts.tolist())))
+        return dict(counts)
+    return tally

@@ -7,10 +7,8 @@ from rellaws import (
     MINED_PROPERTIES,
     PropertyId,
     Relation,
-    VectorCensus,
     holds,
     load_census,
-    property_census,
     property_vector,
     save_census,
     vector_census,
@@ -92,6 +90,10 @@ class TestVectorCensus:
             tally[v] = tally.get(v, 0) + 1
         assert census3.counts == tally
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_weighted_census_matches_direct_tally(self, n, direct_census):
+        assert vector_census(n, pruned=False).counts == direct_census(n)
+
     def test_property_counts_project(self, census3):
         direct = {p: 0 for p in MINED_PROPERTIES}
         for code in range(512):
@@ -99,9 +101,6 @@ class TestVectorCensus:
             for p in MINED_PROPERTIES:
                 direct[p] += holds(r, p)
         assert census3.property_counts() == direct
-
-    def test_property_census_shortcut(self, census3):
-        assert property_census(3, pruned=False) == census3.property_counts()
 
     def test_pruned_key_set_matches(self, census3):
         pruned = vector_census(3, pruned=True)
@@ -116,21 +115,10 @@ class TestVectorCensus:
         with pytest.raises(ValueError, match="n <= 6"):
             vector_census(7, pruned=True)
 
-    def test_merge(self):
-        a = vector_census(3, pruned=False)
-        parts = list(a.counts.items())
-        half = VectorCensus(3, False, dict(parts[:10]))
-        rest = VectorCensus(3, False, dict(parts[10:]))
-        merged = half.merge(rest)
-        assert merged == a
-        overlapping = half.merge(half)
-        assert overlapping.counts[parts[0][0]] == 2 * parts[0][1]
-
-    def test_merge_rejects_mismatched(self):
-        a = vector_census(2, pruned=False)
-        b = vector_census(3, pruned=False)
-        with pytest.raises(ValueError):
-            a.merge(b)
+    def test_refuses_unpruned_n7_before_streaming(self, no_expansion_tables):
+        # the unpruned census visits the normal forms too
+        with pytest.raises(ValueError, match="n <= 6"):
+            vector_census(7, pruned=False)
 
 
 class TestCensusFile:
@@ -156,6 +144,19 @@ class TestCensusFile:
             load_census(io.StringIO("not a census\n"))
         with pytest.raises(ValueError):
             load_census(io.StringIO("relcensus v2 n=2 pruned=0 props=24\n"))
+
+    def test_load_rejects_header_without_n(self):
+        with pytest.raises(ValueError, match="needs n="):
+            load_census(io.StringIO("relcensus v1 m=2 pruned=0 props=24\n"))
+
+    def test_load_rejects_pruned_other_than_0_or_1(self):
+        with pytest.raises(ValueError, match="pruned=0 or 1"):
+            load_census(io.StringIO("relcensus v1 n=2 pruned=yes props=24\n"))
+
+    @pytest.mark.parametrize("n", ["0", "9", "-1"])
+    def test_load_rejects_n_out_of_range(self, n):
+        with pytest.raises(ValueError, match="needs n=1..8"):
+            load_census(io.StringIO(f"relcensus v1 n={n} pruned=0 props=24\n"))
 
     def test_load_rejects_disorder(self):
         census = vector_census(2, pruned=False)

@@ -97,18 +97,19 @@ class TestCensusCommand:
         assert sum(int(line.split(",")[1]) for line in lines[1:]) == 16
         assert "census n=2 pruned=0:" in err
 
-    def test_refuses_unpruned_n6(self, capsys, tmp_path):
-        code, out, err = run(capsys, "census", "--n", "6",
+    def test_refuses_unpruned_n7(self, capsys, tmp_path):
+        # the unpruned census visits the normal forms, so it has their limit
+        code, out, err = run(capsys, "census", "--n", "7",
                              "--out", str(tmp_path / "c.txt"))
         assert code == 2 and out == ""
-        assert "--pruned" in err and "68,719,476,736 relations" in err
+        assert "n <= 6" in err and "827,507,617,792 normal forms" in err
         assert not (tmp_path / "c.txt").exists()
 
     def test_refuses_pruned_n7(self, capsys, tmp_path):
         code, out, err = run(capsys, "census", "--n", "7", "--pruned",
                              "--out", str(tmp_path / "c.txt"))
         assert code == 2 and out == ""
-        assert "--pruned" in err and "827,507,617,792 normal forms" in err
+        assert "n <= 6" in err and "827,507,617,792 normal forms" in err
         assert not (tmp_path / "c.txt").exists()
 
 
@@ -176,6 +177,12 @@ class TestPipeline:
         code, out, err = run(capsys, "mine", "--census", str(census_path))
         assert code == 2 and "not positive" in err and out == ""
 
+    def test_mine_rejects_header_without_n(self, capsys, tmp_path):
+        census_path = tmp_path / "census.txt"
+        census_path.write_text("relcensus v1 m=2 pruned=0 props=24\n000001,1\n")
+        code, out, err = run(capsys, "mine", "--census", str(census_path))
+        assert code == 2 and "needs n=" in err and out == ""
+
 
 class TestWitnessCommand:
     def test_prints_a_witness_that_parses_back(self, capsys):
@@ -232,7 +239,9 @@ class TestMincardCommand:
 class TestVerifyCommand:
     DEFAULT_TABLES = [
         "relation counts n<=4: PASS",
+        "property census unpruned-n5: PASS (24 properties)",
         "property census pruned-n5: PASS (24 properties)",
+        "vector census occupancy: PASS",
         "mining level counts: PASS",
         "law texts levels 2-3: PASS",
     ]
@@ -252,6 +261,7 @@ class TestVerifyCommand:
         refl = golden.PROPERTY_CENSUS_PRUNED_N5[PropertyId.Refl]
         total = golden.TOTAL_LAWS
         assert f"pruned-n5,Refl,{refl},{refl},ok" in lines
+        assert "occupancy,pruned-keys-match,True,True,ok" in lines
         assert f"mine-level-counts,total,{total},{total},ok" in lines
         assert "laws-level-3,sequence-equal,True,True,ok" in lines
         assert all(line.endswith(",ok") for line in lines[1:])
@@ -278,20 +288,6 @@ class TestVerifyCommand:
         assert f"  laws-level-2: unexpected {texts[0]!r}" in lines
         assert "law texts levels 2-3: FAIL" in lines
         assert lines[-1] == "VERIFY: FAIL"
-
-    @pytest.mark.slow
-    def test_deep_adds_unpruned_census_and_occupancy(self, capsys):
-        code, out, _ = run(capsys, "verify", "--deep")
-        assert code == 0
-        assert out.splitlines() == [
-            "relation counts n<=4: PASS",
-            "property census unpruned-n5: PASS (24 properties)",
-            "property census pruned-n5: PASS (24 properties)",
-            "vector census occupancy: PASS",
-            "mining level counts: PASS",
-            "law texts levels 2-3: PASS",
-            "VERIFY: PASS",
-        ]
 
 
 def test_installed_script_smoke():

@@ -1,4 +1,6 @@
 import hashlib
+from collections import Counter
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from rellaws.enumeration import (
     iter_all_codes,
     iter_code_chunks,
     iter_normal_codes,
+    normal_form_weights,
     signature_tuples,
 )
 
@@ -224,6 +227,35 @@ class TestOrder:
         chunks = [next(stream), next(stream)]
         assert [c.size for c in chunks] == [1 << 18, 1 << 18]
         assert sha256_of(chunks) == SHA256_NORMAL_6_FIRST_TWO_CHUNKS
+
+
+class TestWeights:
+    """normal_form_weights: the relations `canonicalize` sorts to each normal form."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_weight_is_the_canonicalize_class_size(self, n):
+        classes = Counter(canonicalize(Relation.from_code(n, code)).to_code()
+                          for code in range(1 << n * n))
+        codes = np.concatenate(list(iter_normal_codes(n)))
+        assert classes == dict(zip(codes.tolist(),
+                                   normal_form_weights(codes, n).tolist()))
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_weight_counts_the_permutations_sorting_back(self, n):
+        # the relations sorting to a normal form are among its permutations
+        rng = np.random.default_rng(n)
+        codes = next(iter_normal_codes(n))
+        sample = rng.choice(codes, size=12, replace=False)
+        for code, weight in zip(sample.tolist(), normal_form_weights(sample, n).tolist()):
+            r = Relation.from_code(n, code)
+            orbit = {r.permute(order) for order in permutations(range(n))}
+            assert sum(canonicalize(q) == r for q in orbit) == weight, (n, code)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_weights_sum_to_every_relation(self, n):
+        total = sum(int(normal_form_weights(chunk, n).sum())
+                    for chunk in iter_normal_codes(n))
+        assert total == 1 << n * n
 
 
 class TestVisitor:
