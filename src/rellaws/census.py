@@ -5,13 +5,11 @@ its `normal_form_weights`, the relations that `canonicalize` sorts to it,
 which share its property vector. The predicates of `properties` are
 evaluated on whole chunks of relation codes at once. A chunk is decoded
 into row and column words, one numpy uint8 array per element with one
-entry per code, and the same word-level predicates that `holds` runs on
-Python ints run on those arrays. Row x of a code is its n-bit field at bit
-n*(n-1-x), with cell (x, y) at bit n-1-y, so a shift, a mask and a
-2^n-entry bit-reversal table give the row word (cell (x, y) at bit y); the
-column words are then packed from the row bits, and no per-cell array is
-built. An n = 5 census of either kind is a pass over 4 chunks of normal
-forms, each tallied as it goes.
+entry per code, by the same `relation.row_words` and
+`relation.column_words` that decode a single relation, and the same
+word-level predicates that `holds` runs on Python ints run on those
+arrays; no per-cell array is built. An n = 5 census of either kind is a
+pass over 4 chunks of normal forms, each tallied as it goes.
 
 Since the bulk path and `holds` share their predicates, neither checks the
 other; the tests check both against `tests/naive.py`, an independent
@@ -27,7 +25,7 @@ import numpy as np
 
 from .enumeration import iter_code_chunks, normal_form_weights
 from .properties import MINED_PROPERTIES, VECTOR_BITS, PropertyId, violation_words
-from .relation import NMAX
+from .relation import NMAX, column_words, row_words
 
 CENSUS_FORMAT = "relcensus v1"
 
@@ -44,19 +42,8 @@ def matrices_from_codes(codes: np.ndarray, n: int) -> np.ndarray:
 
 def _words(codes: np.ndarray, n: int) -> tuple[list, list, int]:
     """Row and column words of every code, one (B,) uint8 array per element."""
-    # row x is the n-bit field at n*(n-1-x), holding cell (x, y) at bit n-1-y;
-    # rev[f] moves bit n-1-y of f to bit y
-    rev = np.array([int(f"{f:0{n}b}"[::-1], 2) for f in range(1 << n)],
-                   dtype=np.uint8)
-    full = np.uint64((1 << n) - 1)
-    rows = [rev[(codes >> np.uint64(n * (n - 1 - x))) & full] for x in range(n)]
-    cols = []
-    for y in range(n):
-        col = np.zeros_like(rows[0])
-        for x, row in enumerate(rows):
-            col |= (row >> y & 1) << x
-        cols.append(col)
-    return rows, cols, (1 << n) - 1
+    rows = row_words(codes, n)
+    return rows, column_words(rows), (1 << n) - 1
 
 
 def _holds(words, p: PropertyId) -> np.ndarray:

@@ -33,19 +33,14 @@ from .properties import (
     property_vector,
 )
 from .redundancy import flag_csv
-from .relation import NMAX, Relation
+from .relation import Relation, check_n
 from .search import (
-    EXHAUSTIVE_MAX_N,
     DEFAULT_BUDGET,
     LiteralConjunction,
     export_dot,
     find_witness,
     min_universe,
 )
-
-
-class _UsageError(Exception):
-    pass
 
 
 # -- commands ---------------------------------------------------------------------
@@ -70,22 +65,18 @@ def _cmd_props(args) -> int:
     return 0
 
 
-def _relation_count(n: int, pruned: bool) -> int:
-    if not 1 <= n <= NMAX:
-        raise _UsageError(f"universe size must be between 1 and {NMAX}, got {n}")
-    return normal_form_count(n) if pruned else 1 << n * n
-
-
 def _cmd_count(args) -> int:
-    print(_relation_count(args.n, args.pruned))
+    n = args.n
+    check_n(n)
+    print(normal_form_count(n) if args.pruned else 1 << n * n)
     return 0
 
 
 def _cmd_census(args) -> int:
     if args.n > NORMAL_MAX_N:
-        raise _UsageError(f"refusing a census of n = {args.n}: "
-                          f"{normal_form_count(args.n):,} normal forms; "
-                          f"the limit is n <= {NORMAL_MAX_N}")
+        raise ValueError(f"refusing a census of n = {args.n}: "
+                         f"{normal_form_count(args.n):,} normal forms; "
+                         f"the limit is n <= {NORMAL_MAX_N}")
     census = vector_census(args.n, args.pruned)
     if args.out == "-":
         save_census(census, sys.stdout)
@@ -127,10 +118,7 @@ def _cmd_star(args) -> int:
 def _parse_query(args) -> LiteralConjunction:
     require = [s for part in args.require for s in part.split(",") if s]
     forbid = [s for part in args.forbid for s in part.split(",") if s]
-    try:
-        return LiteralConjunction.from_names(require, forbid)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return LiteralConjunction.from_names(require, forbid)
 
 
 def _cmd_witness(args) -> int:
@@ -324,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("mincard", help="smallest universe with a witness")
     _add_query_flags(p)
-    p.add_argument("--max", type=int, default=EXHAUSTIVE_MAX_N)
+    p.add_argument("--max", type=int, default=NORMAL_MAX_N)
     p.set_defaults(func=_cmd_mincard)
 
     p = subs.add_parser("verify", help="check computed results against "
@@ -340,9 +328,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,9 +25,9 @@ generators to count the relations of each enumeration.
 
 Order contract:
 
-* `enumerate_all` visits codes 0, 1, 2, ..., i.e. matrices ascending as
+* `iter_all_codes` yields codes 0, 1, 2, ..., i.e. matrices ascending as
   row-major bit strings with cell (0, 0) most significant.
-* `enumerate_normal` visits normal forms grouped by their row-signature
+* `iter_normal_codes` yields normal forms grouped by their row-signature
   tuple: signature tuples ascend lexicographically, and within a tuple the
   concrete rows vary with the last row fastest, each row's patterns
   ascending by chunk value. The order is deterministic and is what
@@ -43,7 +43,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .relation import NMAX, Relation
+from .relation import Relation, check_n, row_words
 
 DEFAULT_CHUNK = 1 << 18
 
@@ -163,8 +163,7 @@ def _expand(layout: _Layout, first: int, stop: int) -> np.ndarray:
 
 def normal_form_count(n: int) -> int:
     """Count of normal-form matrices by direct combinatorics (no enumeration)."""
-    if not 1 <= n <= NMAX:
-        raise ValueError(f"universe size must be between 1 and {NMAX}, got {n}")
+    check_n(n)
     sizes = _group_sizes(n)
     return sum(prod(sizes[g] for g in tup) for tup in signature_tuples(n))
 
@@ -173,24 +172,21 @@ def normal_form_weights(codes: np.ndarray, n: int) -> np.ndarray:
     """How many relations `canonicalize` sorts to each normal-form code:
     n!/(m1! m2! ...) for the lengths m of its runs of equal row signatures,
     the ways to deal the runs out to n positions in their stable order."""
-    def group(i):  # 2*c + d for the signature (c, d) of row i: c + d bits set
-        row = (codes >> np.uint64(n * (n - 1 - i))).astype(np.uint8) & (1 << n) - 1
-        return 2 * _POPCOUNT8[row] - (row >> n - 1 - i & 1)
+    # 2*c + d for the signature (c, d) of row i: c + d bits set, d at bit i
+    sigs = [2 * _POPCOUNT8[row] - (row >> i & 1)
+            for i, row in enumerate(row_words(codes, n))]
     divisor = np.ones(codes.shape, dtype=np.int64)  # m1! m2! ... so far
-    run, prev = np.ones(codes.shape, dtype=np.uint8), group(0)
-    for i in range(1, n):
-        sig = group(i)
+    run = np.ones(codes.shape, dtype=np.uint8)
+    for prev, sig in zip(sigs, sigs[1:]):
         run = np.where(sig == prev, run + 1, 1)
         divisor *= run
-        prev = sig
     return factorial(n) // divisor
 
 
 # -- chunked code generators -------------------------------------------------
 
 def _check_args(n: int, chunk_size: int) -> None:
-    if not 1 <= n <= NMAX:
-        raise ValueError(f"universe size must be between 1 and {NMAX}, got {n}")
+    check_n(n)
     if chunk_size < 1:
         raise ValueError(f"chunk size must be at least 1, got {chunk_size}")
 
@@ -207,7 +203,7 @@ def iter_all_codes(n: int, chunk_size: int = DEFAULT_CHUNK) -> Iterator[np.ndarr
 
 
 def iter_normal_codes(n: int, chunk_size: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
-    """Every normal-form code in the documented enumerate_normal order.
+    """Every normal-form code in the documented order.
 
     The codes of a signature tuple are the cartesian product of its
     per-position group rows, built directly: nothing is filtered out of
@@ -258,11 +254,7 @@ def _count(chunks: Iterator[np.ndarray]) -> int:
 
 
 def enumerate_all(n: int) -> int:
-    """Stream every n x n relation code once, ascending; return 2^(n*n).
-
-    Only the chunked code stream is driven, which is how the n = 5 count
-    stays well under a minute.
-    """
+    """Stream every n x n relation code once, ascending; return 2^(n*n)."""
     return _count(iter_all_codes(n))
 
 

@@ -132,6 +132,8 @@ def parse_law_text(text: str) -> Implicant:
             raise ValueError(f"unknown property {name!r}") from None
         if prop.bit is None:
             raise ValueError(f"property {name} has no vector bit")
+        if mask >> prop.bit & 1:
+            raise ValueError(f"property {name} named twice")
         mask |= 1 << prop.bit
         if positive:
             value |= 1 << prop.bit

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from typing import Iterator
 
-from .relation import Relation
+from .relation import Relation, column_words
 
 
 class PropertyId(enum.Enum):
@@ -317,31 +317,21 @@ def violation_words(p: PropertyId, rows, cols, full: int) -> Iterator:
     return _PREDICATES[p](rows, cols, full)
 
 
-def _columns(rows) -> list[int]:
-    cols = [0] * len(rows)
-    for x, r in enumerate(rows):
-        while r:
-            low = r & -r
-            cols[low.bit_length() - 1] |= 1 << x
-            r ^= low
-    return cols
-
-
 def holds(r: Relation, p: PropertyId) -> bool:
     """Does relation r satisfy property p? Total for all 26 properties."""
-    return not any(_PREDICATES[p](r.rows, _columns(r.rows), (1 << r.n) - 1))
+    return not any(_PREDICATES[p](r.rows, column_words(r.rows), (1 << r.n) - 1))
 
 
 def violations(rows, p: PropertyId) -> int:
     """Number of violating instances of p in the relation with these row
     words; zero iff p holds."""
-    words = _PREDICATES[p](rows, _columns(rows), (1 << len(rows)) - 1)
+    words = _PREDICATES[p](rows, column_words(rows), (1 << len(rows)) - 1)
     return sum(w.bit_count() for w in words)
 
 
 def property_vector(r: Relation) -> int:
     """24-bit word with bit p.bit set iff the bit-carrying property p holds."""
-    cols, full = _columns(r.rows), (1 << r.n) - 1
+    cols, full = column_words(r.rows), (1 << r.n) - 1
     vec = 0
     for p in MINED_PROPERTIES:
         if not any(_PREDICATES[p](r.rows, cols, full)):

@@ -9,18 +9,62 @@ Relations also have a single-integer encoding used by the enumeration
 machinery: the matrix read as a row-major bit string with cell (0, 0) in
 the most significant position. Enumerating codes 0, 1, 2, ... therefore
 visits matrices in ascending bit-string order.
+
+This module owns that bit layout. `row_words` decodes codes into row words
+and `column_words` transposes row words into column words; both run on
+Python ints (one relation) and on numpy arrays holding one word per
+relation (a census chunk).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
 
 NMAX = 8
 
 _LETTERS = "abcdefgh"
 
 
-def _check_n(n: int) -> None:
+def check_n(n: int) -> None:
+    """Refuse a universe size outside 1..NMAX."""
     if not 1 <= n <= NMAX:
         raise ValueError(f"universe size must be between 1 and {NMAX}, got {n}")
+
+
+@lru_cache(maxsize=None)
+def _reversal(n: int) -> np.ndarray:
+    """rev[f] is the n-bit field f with its bits reversed, as uint8."""
+    rev = np.array([int(f"{f:0{n}b}"[::-1], 2) for f in range(1 << n)],
+                   dtype=np.uint8)
+    rev.flags.writeable = False
+    return rev
+
+
+def row_words(codes, n: int) -> list:
+    """The n row words of `codes`, one int or a uint64 array of codes.
+
+    Row x of a code is its n-bit field at bit n*(n-1-x), holding cell (x, y)
+    at bit n-1-y; the bit-reversal table moves that cell to bit y of row
+    word x. The words are uint8: numpy scalars for an int, else arrays.
+    """
+    rev, full = _reversal(n), (1 << n) - 1
+    return [rev[codes >> n * (n - 1 - x) & full] for x in range(n)]
+
+
+def column_words(rows) -> list:
+    """Column words of the given row words: bit x of column y is bit y of row x.
+
+    Only & | << >> are used, so the rows may be Python ints or numpy arrays.
+    """
+    cols = []
+    for y in range(len(rows)):
+        col = 0
+        for row in reversed(rows):  # row x ends up shifted x places
+            col = col << 1 | row >> y & 1
+        cols.append(col)
+    return cols
 
 
 class Relation:
@@ -29,7 +73,7 @@ class Relation:
     __slots__ = ("n", "rows", "_hash")
 
     def __init__(self, n: int, rows: tuple[int, ...]):
-        _check_n(n)
+        check_n(n)
         if len(rows) != n:
             raise ValueError(f"expected {n} rows, got {len(rows)}")
         full = (1 << n) - 1
@@ -47,7 +91,7 @@ class Relation:
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Relation":
-        _check_n(n)
+        check_n(n)
         rows = [0] * n
         for x, y in pairs:
             if not (0 <= x < n and 0 <= y < n):
@@ -58,19 +102,10 @@ class Relation:
     @classmethod
     def from_code(cls, n: int, code: int) -> "Relation":
         """Decode the row-major bit-string encoding (cell (0,0) most significant)."""
-        _check_n(n)
+        check_n(n)
         if not 0 <= code < 1 << (n * n):
             raise ValueError(f"code 0x{code:x} out of range for n={n}")
-        rows = []
-        for x in range(n):
-            chunk = (code >> (n * (n - 1 - x))) & ((1 << n) - 1)
-            # within the chunk, column 0 is the most significant bit
-            row = 0
-            for y in range(n):
-                if chunk >> (n - 1 - y) & 1:
-                    row |= 1 << y
-            rows.append(row)
-        return cls(n, tuple(rows))
+        return cls(n, tuple(int(w) for w in row_words(code, n)))
 
     @classmethod
     def from_text(cls, text: str) -> "Relation":
@@ -80,7 +115,7 @@ class Relation:
         """
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         n = len(lines)
-        _check_n(n)
+        check_n(n)
         rows = []
         for x, ln in enumerate(lines):
             if len(ln) != n:
@@ -97,17 +132,17 @@ class Relation:
 
     @classmethod
     def empty(cls, n: int) -> "Relation":
-        _check_n(n)
+        check_n(n)
         return cls(n, (0,) * n)
 
     @classmethod
     def universal(cls, n: int) -> "Relation":
-        _check_n(n)
+        check_n(n)
         return cls(n, ((1 << n) - 1,) * n)
 
     @classmethod
     def identity(cls, n: int) -> "Relation":
-        _check_n(n)
+        check_n(n)
         return cls(n, tuple(1 << x for x in range(n)))
 
     # -- basic queries -----------------------------------------------------
@@ -127,10 +162,7 @@ class Relation:
 
     def column(self, y: int) -> int:
         """The predecessors of y packed as a bit mask over x."""
-        col = 0
-        for x in range(self.n):
-            col |= (self.rows[x] >> y & 1) << x
-        return col
+        return column_words(self.rows)[y]
 
     def successors(self, x: int) -> set[int]:
         """{y : x R y}"""
@@ -148,7 +180,7 @@ class Relation:
 
     def converse(self) -> "Relation":
         """The transpose: x R' y iff y R x."""
-        return Relation(self.n, tuple(self.column(y) for y in range(self.n)))
+        return Relation(self.n, tuple(column_words(self.rows)))
 
     def restrict(self, subset) -> "Relation":
         """Induced relation on the given elements, in the order listed."""
@@ -184,13 +216,11 @@ class Relation:
     # -- encodings ---------------------------------------------------------
 
     def to_code(self) -> int:
+        """Inverse of `from_code`; the bit reversal is its own inverse."""
+        n, rev = self.n, _reversal(self.n)
         code = 0
-        for x in range(self.n):
-            chunk = 0
-            for y in range(self.n):
-                if self.rows[x] >> y & 1:
-                    chunk |= 1 << (self.n - 1 - y)
-            code |= chunk << (self.n * (self.n - 1 - x))
+        for x, row in enumerate(self.rows):
+            code |= int(rev[row]) << n * (n - 1 - x)
         return code
 
     def to_text(self) -> str:
@@ -216,5 +246,5 @@ class Relation:
 
 def element_names(n: int) -> list[str]:
     """Default display labels a, b, c, ... for a universe of size n."""
-    _check_n(n)
+    check_n(n)
     return list(_LETTERS[:n])

@@ -27,9 +27,8 @@ import numpy as np
 from .census import bulk_holds
 from .enumeration import NORMAL_MAX_N, iter_normal_codes
 from .properties import DUAL, PropertyId, holds, parse_property, violations
-from .relation import NMAX, Relation, element_names
+from .relation import Relation, check_n, element_names
 
-EXHAUSTIVE_MAX_N = NORMAL_MAX_N
 DEFAULT_BUDGET = 100_000
 
 
@@ -79,9 +78,9 @@ def _check_witness(r: Relation, query: LiteralConjunction) -> Relation:
 
 
 def _exhaustive(n: int, query: LiteralConjunction) -> Relation | None:
-    if n > EXHAUSTIVE_MAX_N:
+    if n > NORMAL_MAX_N:
         raise ValueError(
-            f"exhaustive mode supports n <= {EXHAUSTIVE_MAX_N}, got {n}; "
+            f"exhaustive mode supports n <= {NORMAL_MAX_N}, got {n}; "
             "use heuristic mode for larger universes")
     props = query.properties()
     for chunk in iter_normal_codes(n):
@@ -249,13 +248,12 @@ def find_witness(n: int, query: LiteralConjunction, mode: str = "exhaustive",
                  *, seed: int = 0, budget: int = DEFAULT_BUDGET) -> Relation | None:
     """A relation on n elements satisfying the conjunction, or None.
 
-    mode="exhaustive" (n <= 6): first witness in enumerate_normal order;
+    mode="exhaustive" (n <= 6): first witness in iter_normal_codes order;
     None means provably no relation qualifies. mode="heuristic" (any n up
     to 8): randomized search under a budget of `budget` score evaluations,
     reproducible via `seed`; None just means the search gave up.
     """
-    if not 1 <= n <= NMAX:
-        raise ValueError(f"universe size must be between 1 and {NMAX}, got {n}")
+    check_n(n)
     if mode == "exhaustive":
         return _exhaustive(n, query)
     if mode == "heuristic":
@@ -269,9 +267,9 @@ def min_universe(query: LiteralConjunction, n_max: int) -> int | None:
     Exhaustive at every size, so None is a completeness claim for the whole
     range. n_max is capped where exhaustive search is.
     """
-    if not 1 <= n_max <= EXHAUSTIVE_MAX_N:
+    if not 1 <= n_max <= NORMAL_MAX_N:
         raise ValueError(
-            f"n_max must be between 1 and {EXHAUSTIVE_MAX_N}, got {n_max}")
+            f"n_max must be between 1 and {NORMAL_MAX_N}, got {n_max}")
     for n in range(1, n_max + 1):
         if _exhaustive(n, query) is not None:
             return n

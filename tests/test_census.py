@@ -51,7 +51,8 @@ class TestBulkKernels:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_words_pack_the_decoded_matrices(self, n):
-        # row words hold cell (x, y) at bit y, column words at bit x
+        # row words hold cell (x, y) at bit y, column words at bit x; the
+        # scalar decode of each code must give the same words
         if n <= 3:
             codes = np.arange(1 << n * n, dtype=np.uint64)
         else:
@@ -62,9 +63,16 @@ class TestBulkKernels:
         weights = np.uint64(1) << np.arange(n, dtype=np.uint64)
         rows, cols, full = _words(codes, n)
         assert full == (1 << n) - 1
+        want_rows = (cells * weights).sum(axis=2)          # (B, n), by x
+        want_cols = (cells * weights[:, None]).sum(axis=1)  # (B, n), by y
         for i in range(n):
-            assert np.array_equal(rows[i], (cells[:, i, :] * weights).sum(axis=1)), (n, i)
-            assert np.array_equal(cols[i], (cells[:, :, i] * weights).sum(axis=1)), (n, i)
+            assert np.array_equal(rows[i], want_rows[:, i]), (n, i)
+            assert np.array_equal(cols[i], want_cols[:, i]), (n, i)
+        for code, want_r, want_c in zip(codes.tolist(), want_rows.tolist(),
+                                        want_cols.tolist()):
+            r = Relation.from_code(n, code)
+            assert list(r.rows) == want_r, (n, code)
+            assert list(r.converse().rows) == want_c, (n, code)
 
     def test_matrices_layout(self):
         code = Relation.from_pairs(2, [(0, 1)]).to_code()

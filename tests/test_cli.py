@@ -166,6 +166,15 @@ class TestPipeline:
         assert code == 2 and out == ""
         assert "error: law 001: level 5 does not match mask" in err
 
+    def test_star_rejects_a_property_named_twice(self, capsys, tmp_path):
+        # mask and value agree with "Empty" alone; the text contradicts itself
+        laws_path = tmp_path / "laws.csv"
+        laws_path.write_text("seq,level,mask_hex,value_hex,law_text\n"
+                             "001,1,000001,000001,~Empty Empty\n")
+        code, out, err = run(capsys, "star", "--laws", str(laws_path))
+        assert code == 2 and out == ""
+        assert "error: property Empty named twice" in err
+
     def test_mine_rejects_missing_census(self, capsys, tmp_path):
         code, _, err = run(capsys, "mine", "--census", str(tmp_path / "no.txt"))
         assert code == 2 and "error:" in err

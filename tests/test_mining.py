@@ -72,6 +72,9 @@ class TestLawText:
             parse_law_text("Empty Bogus")
         with pytest.raises(ValueError):
             parse_law_text("")
+        for text in ("Empty ~Empty", "~Empty Empty", "Sym Trans Sym"):
+            with pytest.raises(ValueError, match="named twice"):
+                parse_law_text(text)
 
 
 class TestMineSynthetic:

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from rellaws import NMAX, Relation, element_names
 
-relations = st.integers(1, 6).flatmap(
+relations = st.integers(1, NMAX).flatmap(
     lambda n: st.builds(Relation.from_code, st.just(n),
                         st.integers(0, (1 << n * n) - 1)))
 
