@@ -161,6 +161,7 @@ def _expand(layout: _Layout, first: int, stop: int) -> np.ndarray:
     return codes
 
 
+@lru_cache(maxsize=None)
 def normal_form_count(n: int) -> int:
     """Count of normal-form matrices by direct combinatorics (no enumeration)."""
     check_n(n)

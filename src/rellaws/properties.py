@@ -322,10 +322,10 @@ def holds(r: Relation, p: PropertyId) -> bool:
     return not any(_PREDICATES[p](r.rows, column_words(r.rows), (1 << r.n) - 1))
 
 
-def violations(rows, p: PropertyId) -> int:
+def violations(rows, cols, p: PropertyId) -> int:
     """Number of violating instances of p in the relation with these row
-    words; zero iff p holds."""
-    words = _PREDICATES[p](rows, column_words(rows), (1 << len(rows)) - 1)
+    words and their `column_words`; zero iff p holds."""
+    words = _PREDICATES[p](rows, cols, (1 << len(rows)) - 1)
     return sum(w.bit_count() for w in words)
 
 

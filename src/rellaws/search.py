@@ -5,8 +5,14 @@ Two modes with very different claims:
 * exhaustive: scans every normal-form relation (properties are invariant
   under simultaneous permutation and every relation has a normal form, so
   this covers the full space). Returning None is a completeness claim:
-  no relation of that cardinality satisfies the conjunction. Rejected for
-  n >= 7, where the normal-form space itself is in the hundreds of billions.
+  no relation of that cardinality satisfies the conjunction, and a witness
+  is the first one in `iter_normal_codes` order. A size whose whole
+  normal-form stream fits in one chunk (n <= 4, 6 322 codes together) is
+  evaluated once per process into a read-only table of codes and 26-bit
+  property vectors, and each query there is one mask test over it; larger
+  sizes are scanned chunk by chunk, evaluating only the query's
+  properties. Rejected for n >= 7, where the normal-form space itself is
+  in the hundreds of billions.
 * heuristic: seeded random fills that bake the query's structural literals
   (diagonal state, pair orientation) into the sampled shape, plus greedy
   repair of near misses, under a score-evaluation budget. Finding a witness
@@ -20,14 +26,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .census import bulk_holds
-from .enumeration import NORMAL_MAX_N, iter_normal_codes
+from .enumeration import DEFAULT_CHUNK, NORMAL_MAX_N, iter_normal_codes, normal_form_count
 from .properties import DUAL, PropertyId, holds, parse_property, violations
-from .relation import Relation, check_n, element_names
+from .relation import Relation, check_n, column_words, element_names
 
 DEFAULT_BUDGET = 100_000
 
@@ -77,11 +84,33 @@ def _check_witness(r: Relation, query: LiteralConjunction) -> Relation:
     return r
 
 
-def _exhaustive(n: int, query: LiteralConjunction) -> Relation | None:
-    if n > NORMAL_MAX_N:
-        raise ValueError(
-            f"exhaustive mode supports n <= {NORMAL_MAX_N}, got {n}; "
-            "use heuristic mode for larger universes")
+class _Table(NamedTuple):
+    codes: np.ndarray    # uint64 normal-form codes, in iter_normal_codes order
+    vectors: np.ndarray  # uint32: bit p.value set iff p holds, all 26 properties
+
+
+@lru_cache(maxsize=None)
+def _table(n: int) -> _Table:
+    """Every normal form of a size whose stream is one chunk, with the
+    vector of all 26 properties; read-only, since every query shares it."""
+    (codes,) = iter_normal_codes(n)
+    vectors = np.zeros(codes.shape, dtype=np.uint32)
+    for p, ok in bulk_holds(codes, n, PropertyId).items():
+        vectors |= ok.astype(np.uint32) << np.uint32(p.value)
+    codes.setflags(write=False)
+    vectors.setflags(write=False)
+    return _Table(codes, vectors)
+
+
+def _first_code(n: int, query: LiteralConjunction) -> int | None:
+    """The first normal-form code of n, in stream order, that satisfies the
+    query by the bulk predicates, or None."""
+    if normal_form_count(n) <= DEFAULT_CHUNK:
+        codes, vectors = _table(n)
+        mask = sum(1 << p.value for p in query.pos | query.neg)
+        value = sum(1 << p.value for p in query.pos)
+        hits = np.flatnonzero((vectors & mask) == value)
+        return int(codes[hits[0]]) if hits.size else None
     props = query.properties()
     for chunk in iter_normal_codes(n):
         results = bulk_holds(chunk, n, props)
@@ -92,19 +121,30 @@ def _exhaustive(n: int, query: LiteralConjunction) -> Relation | None:
             ok &= ~results[p]
         hits = np.flatnonzero(ok)
         if hits.size:
-            code = int(chunk[hits[0]])
-            return _check_witness(Relation.from_code(n, code), query)
+            return int(chunk[hits[0]])
     return None
+
+
+def _exhaustive(n: int, query: LiteralConjunction) -> Relation | None:
+    if n > NORMAL_MAX_N:
+        raise ValueError(
+            f"exhaustive mode supports n <= {NORMAL_MAX_N}, got {n}; "
+            "use heuristic mode for larger universes")
+    code = _first_code(n, query)
+    if code is None:
+        return None
+    return _check_witness(Relation.from_code(n, code), query)
 
 
 # -- heuristic mode ------------------------------------------------------------
 
 def _score(rows: list[int], query: LiteralConjunction) -> int:
+    cols = column_words(rows)
     score = 0
     for p in query.pos:
-        score += violations(rows, p)
+        score += violations(rows, cols, p)
     for p in query.neg:
-        if violations(rows, p) == 0:
+        if violations(rows, cols, p) == 0:
             score += 1  # property still holds and must be broken
     return score
 
@@ -249,11 +289,16 @@ def find_witness(n: int, query: LiteralConjunction, mode: str = "exhaustive",
     """A relation on n elements satisfying the conjunction, or None.
 
     mode="exhaustive" (n <= 6): first witness in iter_normal_codes order;
-    None means provably no relation qualifies. mode="heuristic" (any n up
+    None means provably no relation qualifies. For n <= 4 the answer is
+    read from a table of every normal form's properties, built once per
+    process and size; the claims are the same. mode="heuristic" (any n up
     to 8): randomized search under a budget of `budget` score evaluations,
-    reproducible via `seed`; None just means the search gave up.
+    reproducible via `seed`; None just means the search gave up. A budget
+    below 1 is refused in either mode, since no search could run on it.
     """
     check_n(n)
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     if mode == "exhaustive":
         return _exhaustive(n, query)
     if mode == "heuristic":
@@ -265,7 +310,9 @@ def min_universe(query: LiteralConjunction, n_max: int) -> int | None:
     """Smallest universe size 1..n_max admitting a witness, or None.
 
     Exhaustive at every size, so None is a completeness claim for the whole
-    range. n_max is capped where exhaustive search is.
+    range. n_max is capped where exhaustive search is. Sizes up to 4 are
+    answered from the per-process tables `find_witness` reads, so repeated
+    queries there cost one mask test per size.
     """
     if not 1 <= n_max <= NORMAL_MAX_N:
         raise ValueError(

@@ -27,6 +27,18 @@ def no_expansion_tables(monkeypatch):
     monkeypatch.setattr(enumeration, "_layout", fail)
 
 
+@pytest.fixture
+def search_memo():
+    """Empty the exhaustive search's per-size tables before and after the
+    test, so neither its answers nor the work it counts depend on which
+    tests ran first."""
+    from rellaws import search
+
+    search._table.cache_clear()
+    yield search._table
+    search._table.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def direct_census():
     """The unpruned vector census by brute force: `bulk_vectors` over every

@@ -211,6 +211,14 @@ class TestWitnessCommand:
                            "--require", "Refl,ASym", "--budget", "1000")
         assert (code, out) == (0, "unknown\n")
 
+    @pytest.mark.parametrize("budget", ["0", "-4"])
+    def test_budget_below_one_is_a_usage_error(self, capsys, budget):
+        # no search runs on such a budget, so "unknown" would claim one gave up
+        code, out, err = run(capsys, "witness", "--n", "3", "--mode", "heuristic",
+                             "--require", "Refl", "--budget", budget)
+        assert (code, out) == (2, "")
+        assert "error: budget must be at least 1" in err
+
     def test_dot_output_appended(self, capsys):
         code, out, _ = run(capsys, "witness", "--n", "2", "--require", "Refl",
                            "--dot")

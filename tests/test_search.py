@@ -1,6 +1,7 @@
 """Witness search: query objects, exhaustive and heuristic modes, DOT export."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,8 +13,11 @@ from rellaws import (
     find_witness,
     holds,
     min_universe,
+    normal_form_count,
 )
-from rellaws.enumeration import iter_normal_codes
+from rellaws import search
+from rellaws.enumeration import DEFAULT_CHUNK, iter_normal_codes
+from naive import naive_holds
 
 
 def query(require=(), forbid=()):
@@ -70,6 +74,7 @@ class TestLiteralConjunction:
         assert not query(["Univ"]).satisfied_by(loop)
 
 
+@pytest.mark.usefixtures("search_memo")
 class TestExhaustive:
     def first_by_filtering(self, n, q):
         return next((r for r in normal_relations(n) if q.satisfied_by(r)), None)
@@ -141,6 +146,11 @@ class TestHeuristic:
         q = query(["Refl", "ASym"])
         assert find_witness(7, q, "heuristic", seed=0, budget=2000) is None
 
+    @pytest.mark.parametrize("budget", [0, -4])
+    def test_rejects_budget_below_one(self, budget):
+        # a search that never ran must not read as one that gave up
+        with pytest.raises(ValueError, match="budget"):
+            find_witness(3, query(["Refl"]), "heuristic", budget=budget)
 
     # (n, required, forbidden, seed, rows of the witness found). Each search
     # repairs its fills by descent, so these pin the search path end to end;
@@ -182,6 +192,7 @@ class TestHeuristic:
         assert find_witness(n, q, "heuristic", seed=seed) == Relation(n, rows)
 
 
+@pytest.mark.usefixtures("search_memo")
 class TestMinUniverse:
     def test_vacuous_properties_admit_the_singleton(self):
         assert min_universe(query(["AntiTrans", "SemiConnex"]), 6) == 1
@@ -214,6 +225,84 @@ class TestMinUniverse:
     def test_no_small_dense_asym_inhabitant(self):
         # nonempty dense asymmetric relations need more than six elements
         assert min_universe(query(["ASym", "Dense"], ["Empty"]), 6) is None
+
+
+def naive_satisfies(q, r):
+    return (all(naive_holds(r, p) for p in q.pos)
+            and not any(naive_holds(r, p) for p in q.neg))
+
+
+def counting_bulk_holds(monkeypatch):
+    """Patch the search's `bulk_holds`; the returned list gets the universe
+    size of every call."""
+    sizes = []
+    real = search.bulk_holds
+
+    def counted(codes, n, props):
+        sizes.append(n)
+        return real(codes, n, props)
+    monkeypatch.setattr(search, "bulk_holds", counted)
+    return sizes
+
+
+@pytest.mark.usefixtures("search_memo")
+class TestSmallSizeTable:
+    """Sizes whose normal forms fit in one chunk are answered from one
+    memoised table of all 26 properties; the answers are those of a scan."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_one_literal_query(self, n):
+        # the first relation in stream order for each (property, holds) pair,
+        # by the naive oracle; bits 24 and 25 are not in the 24-bit vector
+        first = {}
+        for r in normal_relations(n):
+            for p in PropertyId:
+                first.setdefault((p, naive_holds(r, p)), r)
+            if len(first) == 2 * len(PropertyId):
+                break
+        for p in PropertyId:
+            assert find_witness(n, LiteralConjunction({p})) == first.get((p, True)), p
+            assert find_witness(n, LiteralConjunction(neg={p})) == first.get((p, False)), p
+
+    @pytest.mark.parametrize("require,forbid", [
+        (["LfQuasiRefl"], ["QuasiRefl"]),
+        (["RgQuasiRefl", "Trans"], ["LfQuasiRefl"]),
+        (["AntiSym", "RgQuasiRefl"], ["LfQuasiRefl", "Empty"]),
+        (["Sym", "Dense"], ["RgQuasiRefl"]),
+        (["LfQuasiRefl", "RgQuasiRefl"], ["QuasiRefl"]),
+    ])
+    def test_mixed_queries_with_the_high_bits(self, require, forbid):
+        q = query(require, forbid)
+        for n in range(1, 5):
+            expect = next((r for r in normal_relations(n) if naive_satisfies(q, r)),
+                          None)
+            assert find_witness(n, q) == expect
+
+    def test_one_evaluation_per_size(self, monkeypatch):
+        sizes = counting_bulk_holds(monkeypatch)
+        rng = random.Random(5)
+        props = list(PropertyId)
+        queries = [query(["Refl", "ASym"])]  # absent, so every size is visited
+        while len(queries) < 60:
+            a, b, c = rng.sample(props, 3)
+            queries.append(LiteralConjunction({a, b}, {c}))
+        for q in queries:
+            min_universe(q, 4)
+        assert Counter(sizes) == {1: 1, 2: 1, 3: 1, 4: 1}
+
+    def test_larger_sizes_scan_chunk_by_chunk(self, monkeypatch, search_memo):
+        sizes = counting_bulk_holds(monkeypatch)
+        assert find_witness(5, query(["ASym", "Dense"], ["Empty"])) is None
+        chunks = -(-normal_form_count(5) // DEFAULT_CHUNK)
+        assert sizes == [5] * chunks
+        assert search_memo.cache_info().currsize == 0
+
+    def test_tables_are_read_only(self, search_memo):
+        table = search_memo(3)
+        with pytest.raises(ValueError):
+            table.codes[0] = 0
+        with pytest.raises(ValueError):
+            table.vectors[0] = 0
 
 
 class TestExportDot:
