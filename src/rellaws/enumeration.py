@@ -51,10 +51,6 @@ DEFAULT_CHUNK = 1 << 18
 # tuple alone holds 10^6 codes at n = 6 and 1.28 * 10^9 (9.5 GiB) at n = 7
 NORMAL_MAX_N = 6
 
-# set bits of each byte value; `mining` counts its packed on-set with it
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
 class RowSignature(NamedTuple):
     off_diag: int
     diagonal: bool
@@ -174,7 +170,7 @@ def normal_form_weights(codes: np.ndarray, n: int) -> np.ndarray:
     n!/(m1! m2! ...) for the lengths m of its runs of equal row signatures,
     the ways to deal the runs out to n positions in their stable order."""
     # 2*c + d for the signature (c, d) of row i: c + d bits set, d at bit i
-    sigs = [2 * _POPCOUNT8[row] - (row >> i & 1)
+    sigs = [2 * np.bitwise_count(row) - (row >> i & 1)
             for i, row in enumerate(row_words(codes, n))]
     divisor = np.ones(codes.shape, dtype=np.int64)  # m1! m2! ... so far
     run = np.ones(codes.shape, dtype=np.uint8)

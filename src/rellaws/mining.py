@@ -22,9 +22,10 @@ axes of length 2 (one word, with its low 2^n_props bits in use, when
 n_props < 6). A cube is then two parts: its literals at bits 6 and up
 pick a slice of that view, and its literals below bit 6 pick the bits j
 of each word with j & mask == value, a 64-bit in-word pattern. A cube
-is tested by `any()` of the slice ANDed with the pattern and absorbed by
-clearing the pattern in the slice, so a test reads one bit in 64 of the
-space where a bool array would read one byte per vector. Which cubes get
+is tested by ANDing the pattern with the OR of the slice's words and
+absorbed by clearing the pattern in the slice in place, so a test reads
+one bit in 64 of the space where a bool array would read one byte per
+vector, and neither copies the slice. Which cubes get
 tested comes from whichever is fewer at the level, its masks or its
 still-on vectors, and both sources are exact:
 
@@ -32,7 +33,11 @@ still-on vectors, and both sources are exact:
   cube (one literal dropped) hits off, the Quine-McCluskey prime
   condition. A cube with an off-free parent lies inside a cube the scan
   of the level before either reported or found without on vectors, so
-  it can never be reported.
+  it can never be reported. The masks are taken in batches: each off
+  vector is projected onto each mask's k bits as a k-bit pattern, the
+  hit patterns are marked in one (batch, 2^k) table, and a pattern is
+  kept when it is not hit while its k neighbours (one bit flipped) are;
+  the kept patterns are deposited back into the mask bits.
 * from the on vectors, each on u paired with every mask m that meets
   every difference set u ^ o of an off o: the cubes (m, u & m) that hold
   u and avoid off, i.e. the transversals of that hypergraph. A mask that
@@ -57,7 +62,6 @@ from typing import Iterator, Sequence, TextIO
 import numpy as np
 
 from .census import VectorCensus
-from .enumeration import _POPCOUNT8
 from .properties import MINED_PROPERTIES, VECTOR_BITS, PropertyId
 
 _BY_BIT = {p.value: p for p in MINED_PROPERTIES}
@@ -193,11 +197,6 @@ def _cube(mask: int, value: int, n_props: int) -> tuple[tuple, np.uint64]:
     return idx, _pattern(mask & 63, value & 63)
 
 
-def _popcount(a: np.ndarray) -> np.ndarray:
-    """Set bits of each entry of a uint32 array."""
-    return _POPCOUNT8[a.view(np.uint8)].reshape(a.size, 4).sum(axis=1)
-
-
 def _on_vectors(words: np.ndarray) -> np.ndarray:
     """The vectors whose bits are set, ascending."""
     at = np.flatnonzero(words)
@@ -206,22 +205,42 @@ def _on_vectors(words: np.ndarray) -> np.ndarray:
     return (at[pos >> _WORD_BITS] << _WORD_BITS | pos & 63).astype(np.uint32)
 
 
+_BATCH_CELLS = 1 << 16  # cells of the (masks, off) and (masks, 2^k) tables per batch
+
+
 def _mask_candidates(off: np.ndarray, n_props: int,
                      level: int) -> Iterator[tuple[int, int]]:
     """Cubes that avoid off while every scanned parent cube hits it."""
-    for mask in _masks_of_popcount(n_props, level).tolist():
-        hit = np.unique(off & np.uint32(mask))
-        if level == 1:  # level 0 is never scanned
-            values = np.array([0, mask], dtype=np.uint32)
-        else:
-            # for a value outside hit, the parent without literal b hits
-            # off iff value ^ b is in hit: keep values with all k such b
-            bits = np.array([1 << b for b in range(n_props) if mask >> b & 1],
-                            dtype=np.uint32)
-            values, parents_hit = np.unique(hit[:, None] ^ bits, return_counts=True)
-            values = values[parents_hit == level]
-        for value in values[~np.isin(values, hit)].tolist():
-            yield mask, value
+    masks = _masks_of_popcount(n_props, level)
+    # pos[i]: the level bit positions of masks[i], ascending
+    pos = np.nonzero(masks[:, None] >> np.arange(n_props, dtype=np.uint32) & 1)[1]
+    pos = pos.reshape(masks.size, level).astype(np.uint32)
+    patterns = 1 << level
+    dtype = np.min_scalar_type(patterns - 1)
+    batch = max(1, _BATCH_CELLS // max(off.size, patterns))
+    for start in range(0, masks.size, batch):
+        at = pos[start:start + batch]
+        # q[i, o]: off vector o projected onto the bits of mask i; bit j of
+        # the pattern is bit at[i, j] of the vector
+        q = np.zeros((at.shape[0], off.size), dtype=dtype)
+        for j in range(level):
+            q |= (off >> at[:, j, None] & 1).astype(dtype) << j
+        hit = np.zeros((at.shape[0], patterns), dtype=bool)
+        np.put_along_axis(hit, q, True, axis=1)
+        keep = ~hit
+        if level > 1:  # level 0 is never scanned
+            for j in range(level):
+                # the parent without literal j hits off iff q ^ 1 << j is hit
+                flip = (at.shape[0], patterns >> j + 1, 2, 1 << j)
+                parents = keep.reshape(flip)
+                parents &= hit.reshape(flip)[:, :, ::-1]
+        rows, kept = np.nonzero(keep)
+        # deposit each kept pattern back into its mask's bits; the deposit
+        # keeps the order of patterns, so values ascend within each mask
+        values = np.zeros(kept.size, dtype=np.uint32)
+        for j in range(level):
+            values |= (kept >> j & 1).astype(np.uint32) << at[rows, j]
+        yield from zip(masks[start + rows].tolist(), values.tolist())
 
 
 def _vector_candidates(off: np.ndarray, on: np.ndarray, n_props: int,
@@ -233,7 +252,7 @@ def _vector_candidates(off: np.ndarray, on: np.ndarray, n_props: int,
         # (m, u & m) avoids off iff m meets every difference set u ^ o,
         # i.e. every minimal one; the smallest set left is always minimal
         diffs = off ^ np.uint32(u)
-        diffs = diffs[np.argsort(_popcount(diffs), kind="stable")]
+        diffs = diffs[np.argsort(np.bitwise_count(diffs), kind="stable")]
         fit = masks
         while diffs.size:
             least = diffs[0]
@@ -271,7 +290,7 @@ def mine(census: VectorCensus, max_level: int = 8,
     laws: list[Law] = []
     stats: list[LevelStats] = []
     for level in range(1, max_level + 1):
-        on_now = int(_POPCOUNT8[words[words != 0].view(np.uint8)].sum())
+        on_now = int(np.bitwise_count(words).sum())
         stats.append(LevelStats(level, on_now, off.size, space - off.size - on_now))
         if on_now == 0:
             break  # nothing below can be prime any more
@@ -281,10 +300,10 @@ def mine(census: VectorCensus, max_level: int = 8,
             candidates = _vector_candidates(off, _on_vectors(words), n_props, level)
         for mask, value in candidates:
             idx, pattern = _cube(mask, value, n_props)
-            cube = view[idx]
-            if np.any(cube & pattern):
+            cube = view[idx + (...,)]  # a view, 0-d when idx picks every axis
+            if np.bitwise_or.reduce(cube, axis=None) & pattern:
                 laws.append(Law(len(laws) + 1, Implicant(mask, value)))
-                view[idx] = cube & ~pattern
+                np.bitwise_and(cube, ~pattern, out=cube)
     return MineResult(laws, stats, max_level, n_props)
 
 

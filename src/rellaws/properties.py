@@ -254,12 +254,16 @@ def _semiord2(rows, cols, full):
     # whenever x R y R z, every w is comparable to x, y, or z; one word
     # over z per (x, y)
     inc = _incomparable(rows, cols, full)
-    for ix, rx in zip(inc, rows):
-        for y, (iy, ry) in enumerate(zip(inc, rows)):
-            # the z that share an incomparable w with both x and y
+    for x, (ix, rx) in enumerate(zip(inc, rows)):
+        for y in range(x, len(rows)):
+            iy, ry = inc[y], rows[y]
+            # the z that share an incomparable w with both x and y; the set
+            # is symmetric in x and y, so it serves (x, y) and (y, x)
             both = ix & iy
             lonely = _union(iw & -(both >> w & 1) for w, iw in enumerate(inc))
             yield ry & lonely & -(rx >> y & 1)
+            if y != x:
+                yield rx & lonely & -(ry >> x & 1)
 
 
 def _quasitrans(rows, cols, full):

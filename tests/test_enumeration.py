@@ -19,7 +19,6 @@ from rellaws import (
     row_signature,
 )
 from rellaws.enumeration import (
-    _POPCOUNT8,
     iter_all_codes,
     iter_code_chunks,
     iter_normal_codes,
@@ -49,7 +48,7 @@ def normal_form_mask(codes, n):
     for i in range(n):
         chunk = (codes >> np.uint64(n * (n - 1 - i))) & full
         diag = (chunk >> np.uint64(n - 1 - i)) & np.uint64(1)
-        c = _POPCOUNT8[chunk.astype(np.uint8)].astype(np.int16) - diag.astype(np.int16)
+        c = np.bitwise_count(chunk.astype(np.uint8)).astype(np.int16) - diag.astype(np.int16)
         sig = 2 * c + diag.astype(np.int16)
         if prev is not None:
             ok &= prev <= sig

@@ -105,14 +105,19 @@ class TestViolationCount:
         # the counts the repair score is built from: each unordered pair
         # once for the symmetric conditions, surplus predecessors for
         # LfUnique, and (x, y, z) paths with a w incomparable to all three
-        # for SemiOrd2
+        # for SemiOrd2; every relation on up to three elements, then random
+        # ones on one to seven
         P = PropertyId
         rng = random.Random(89)
+        cases = [(n, {(x, y) for x in range(n) for y in range(n)
+                      if code >> x * n + y & 1})
+                 for n in (1, 2, 3) for code in range(1 << n * n)]
         for _ in range(200):
             n = rng.randint(1, 7)
             density = rng.random()
-            pairs = {(x, y) for x in range(n) for y in range(n)
-                     if rng.random() < density}
+            cases.append((n, {(x, y) for x in range(n) for y in range(n)
+                              if rng.random() < density}))
+        for n, pairs in cases:
             rows = Relation.from_pairs(n, pairs).rows
             cols = column_words(rows)
             below = [(x, y) for x in range(n) for y in range(x + 1, n)]
