@@ -10,10 +10,20 @@ n = 5 space from 33 554 432 matrices to 907 452 while keeping at least one
 representative of every isomorphism class. Normal form is not a canonical
 form: distinct normal-form matrices can still be isomorphic.
 
+A second signature breaks some of the ties the first one leaves: the
+column signature of element i is (off-diagonal in-degree, loop bit), and
+`column_sorted` keeps the codes whose (row, column) signature keys never
+decrease, so that inside each run of equal row signatures the column
+signatures ascend (402 840 of the 907 452 normal forms at n = 5). Both
+signatures move with their element, so stable-sorting a relation by key
+is a well-defined reduction, and `tie_weights` counts what each kept code
+stands for from its runs alone: prod(m!)/prod(k!) normal forms or
+n!/prod(k!) relations, for its runs of m equal row signatures and of k
+equal keys. The census evaluates only the kept codes.
+
 Enumeration is chunked: the workhorse generators yield numpy arrays of
-relation codes (the row-major bit-string encoding from `relation`), and
-`normal_form_weights` gives the relations each normal form stands for.
-The normal forms with a given signature tuple are the cartesian product
+relation codes (the row-major bit-string encoding from `relation`). The
+normal forms with a given signature tuple are the cartesian product
 of one signature group of rows per position, so `iter_normal_codes`
 builds them directly: with the group rows of every position laid out once
 per n, a run of tuples is expanded position by position, each partial
@@ -43,7 +53,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .relation import Relation, check_n, row_words
+from .relation import Relation, check_n, signatures
 
 DEFAULT_CHUNK = 1 << 18
 
@@ -165,19 +175,52 @@ def normal_form_count(n: int) -> int:
     return sum(prod(sizes[g] for g in tup) for tup in signature_tuples(n))
 
 
-def normal_form_weights(codes: np.ndarray, n: int) -> np.ndarray:
-    """How many relations `canonicalize` sorts to each normal-form code:
-    n!/(m1! m2! ...) for the lengths m of its runs of equal row signatures,
-    the ways to deal the runs out to n positions in their stable order."""
-    # 2*c + d for the signature (c, d) of row i: c + d bits set, d at bit i
-    sigs = [2 * np.bitwise_count(row) - (row >> i & 1)
-            for i, row in enumerate(row_words(codes, n))]
-    divisor = np.ones(codes.shape, dtype=np.int64)  # m1! m2! ... so far
-    run = np.ones(codes.shape, dtype=np.uint8)
-    for prev, sig in zip(sigs, sigs[1:]):
-        run = np.where(sig == prev, run + 1, 1)
-        divisor *= run
-    return factorial(n) // divisor
+def column_sorted(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The codes whose (row, column) signature keys never decrease, and
+    the tie pattern of each.
+
+    Among normal forms these are the ones whose column signatures ascend
+    inside every run of equal row signatures. Bit 2i of a tie pattern says
+    elements i and i+1 have equal row signatures, bit 2i+1 that their
+    column signatures are equal too. The signatures are computed element
+    by element and are gone when this returns.
+    """
+    keep = np.ones(codes.shape, dtype=bool)
+    patterns = np.zeros(codes.shape, dtype=np.uint16)
+    sigs = signatures(codes, n)
+    row, col = next(sigs)
+    prev_row, prev_key = row, row << 4 | col  # signatures are below 16
+    for i, (row, col) in enumerate(sigs):
+        key = row << 4 | col
+        keep &= prev_key <= key
+        patterns |= np.left_shift(row == prev_row, 2 * i, dtype=np.uint16)
+        patterns |= np.left_shift(key == prev_key, 2 * i + 1, dtype=np.uint16)
+        prev_row, prev_key = row, key
+    return codes[keep], patterns[keep]
+
+
+def tie_weights(n: int, pruned: bool) -> list[int]:
+    """What a `column_sorted` code stands for, indexed by its tie pattern.
+
+    With m the lengths of its runs of equal row signatures and k those of
+    its runs of equal (row, column) keys, that is prod(m!)/prod(k!) normal
+    forms (pruned) or n!/prod(k!) relations: the distinct rearrangements
+    of its key sequence that keep the row signatures in order, or all of
+    them. Permuting elements moves both signatures with the element, so
+    each rearrangement is the key sequence of exactly one normal form or
+    relation that a stable sort by key takes to the code.
+    """
+    weights = []
+    for pattern in range(1 << 2 * (n - 1)):
+        m = k = 1  # lengths of the current runs
+        row_runs = key_runs = 1  # prod(m!) and prod(k!) so far
+        for i in range(n - 1):
+            row_tie = pattern >> 2 * i & 1
+            m = m + 1 if row_tie else 1
+            k = k + 1 if row_tie and pattern >> 2 * i + 1 & 1 else 1
+            row_runs, key_runs = row_runs * m, key_runs * k
+        weights.append((row_runs if pruned else factorial(n)) // key_runs)
+    return weights
 
 
 # -- chunked code generators -------------------------------------------------

@@ -13,7 +13,8 @@ visits matrices in ascending bit-string order.
 This module owns that bit layout. `row_words` decodes codes into row words
 and `column_words` transposes row words into column words; both run on
 Python ints (one relation) and on numpy arrays holding one word per
-relation (a census chunk).
+relation (a census chunk). `signatures` counts the cells of each row and
+column straight from a code array, for the census's symmetry reduction.
 """
 
 from __future__ import annotations
@@ -65,6 +66,36 @@ def column_words(rows) -> list:
             col = col << 1 | row >> y & 1
         cols.append(col)
     return cols
+
+
+def signatures(codes: np.ndarray, n: int):
+    """The row and column signatures of a uint64 code array, element by element.
+
+    Yields one pair of uint8 arrays per element x, in order: 2*c + d for
+    row x and for column x, where d is the loop bit (x, x) and c counts the
+    off-diagonal cells set in that row or column. Each is a popcount of a
+    cell mask over the codes, summed octet by octet in uint8, so a caller
+    that keeps only the previous element's pair holds four arrays at a time
+    and no uint64 temporary is made.
+    """
+    # octets[b] is bits 8b .. 8b+7 of every code, for the octets the cells
+    # reach; a contiguous copy, which counts 4 times faster than the view
+    codes = np.ascontiguousarray(codes, dtype="<u8")
+    octets = codes.view(np.uint8).reshape(-1, 8)[:, :(n * n + 7) // 8].T.copy()
+
+    def count(mask: int) -> np.ndarray:
+        total = np.zeros(octets.shape[1], dtype=np.uint8)
+        for b, octet in enumerate(octets):
+            if part := mask >> 8 * b & 0xFF:
+                total += np.bitwise_count(octet & part)
+        return total
+
+    for x in range(n):
+        loop = 1 << n * n - 1 - (x * n + x)  # cell (x, x)
+        row = ((1 << n) - 1) << n * (n - 1 - x) & ~loop
+        col = sum(1 << n * (n - 1 - w) + n - 1 - x for w in range(n) if w != x)
+        d = count(loop)
+        yield 2 * count(row) + d, 2 * count(col) + d
 
 
 class Relation:

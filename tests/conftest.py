@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rellaws.census import bulk_vectors
-from rellaws.enumeration import iter_all_codes
+from rellaws.enumeration import iter_code_chunks
 
 
 def pytest_collection_modifyitems(config, items):
@@ -41,11 +41,12 @@ def search_memo():
 
 @pytest.fixture(scope="session")
 def direct_census():
-    """The unpruned vector census by brute force: `bulk_vectors` over every
-    code 0 .. 2^(n*n)-1, the reference for the weighted census."""
-    def tally(n):
+    """The vector census by brute force: `bulk_vectors` over every code of
+    the enumeration, each counted once, the reference for the weighted
+    census: codes 0 .. 2^(n*n)-1, or every normal form when pruned."""
+    def tally(n, pruned=False):
         counts = Counter()
-        for codes in iter_all_codes(n):
+        for codes in iter_code_chunks(n, pruned):
             values, chunk_counts = np.unique(bulk_vectors(codes, n), return_counts=True)
             counts.update(dict(zip(values.tolist(), chunk_counts.tolist())))
         return dict(counts)

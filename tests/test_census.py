@@ -102,6 +102,11 @@ class TestVectorCensus:
     def test_weighted_census_matches_direct_tally(self, n, direct_census):
         assert vector_census(n, pruned=False).counts == direct_census(n)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_pruned_census_matches_unweighted_tally(self, n, direct_census):
+        # every normal form once, with no weights and no second signature
+        assert vector_census(n, pruned=True).counts == direct_census(n, pruned=True)
+
     def test_property_counts_project(self, census3):
         direct = {p: 0 for p in MINED_PROPERTIES}
         for code in range(512):

@@ -1,6 +1,7 @@
 import hashlib
 from collections import Counter
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from rellaws import (
     Relation,
+    golden,
     RowSignature,
     canonicalize,
     enumerate_all,
@@ -19,12 +21,14 @@ from rellaws import (
     row_signature,
 )
 from rellaws.enumeration import (
+    column_sorted,
     iter_all_codes,
     iter_code_chunks,
     iter_normal_codes,
-    normal_form_weights,
     signature_tuples,
+    tie_weights,
 )
+from rellaws.relation import row_words
 
 relations = st.integers(1, 6).flatmap(
     lambda n: st.builds(Relation.from_code, st.just(n),
@@ -32,6 +36,9 @@ relations = st.integers(1, 6).flatmap(
 
 COUNTS_ALL = {1: 2, 2: 16, 3: 512, 4: 65536}
 COUNTS_NORMAL = {1: 2, 2: 10, 3: 140, 4: 6170}
+# normal forms whose column signatures ascend inside every run of equal
+# row signatures
+COUNTS_COLUMN_SORTED = {1: 2, 2: 10, 3: 108, 4: 3674, 5: 402840}
 
 # sha256 of little-endian uint64 code streams, pinned when the normal-form
 # stream was still built one signature tuple at a time
@@ -54,6 +61,39 @@ def normal_form_mask(codes, n):
             ok &= prev <= sig
         prev = sig
     return ok
+
+
+def normal_form_weights(codes, n):
+    """How many relations `canonicalize` sorts to each normal-form code:
+    n!/(m1! m2! ...) for the lengths m of its runs of equal row signatures,
+    the ways to deal the runs out to n positions in their stable order."""
+    # 2*c + d for the signature (c, d) of row i: c + d bits set, d at bit i
+    sigs = [2 * np.bitwise_count(row) - (row >> i & 1)
+            for i, row in enumerate(row_words(codes, n))]
+    divisor = np.ones(codes.shape, dtype=np.int64)  # m1! m2! ... so far
+    run = np.ones(codes.shape, dtype=np.uint8)
+    for prev, sig in zip(sigs, sigs[1:]):
+        run = np.where(sig == prev, run + 1, 1)
+        divisor *= run
+    return factorial(n) // divisor
+
+
+def key_sort(r):
+    """`r` stable-sorted by (row signature, column signature); the column
+    signature of an element is its row signature in the converse."""
+    converse = r.converse()
+    return r.permute(sorted(range(r.n), key=lambda i: (
+        row_signature(r, i), row_signature(converse, i))))
+
+
+def kept_weights(n, pruned):
+    """{kept code: tie weight} over the whole normal-form stream."""
+    weights = tie_weights(n, pruned)
+    kept = {}
+    for chunk in iter_normal_codes(n):
+        codes, patterns = column_sorted(chunk, n)
+        kept.update(zip(codes.tolist(), (weights[p] for p in patterns.tolist())))
+    return kept
 
 
 def sha256_of(chunks):
@@ -255,6 +295,52 @@ class TestWeights:
         total = sum(int(normal_form_weights(chunk, n).sum())
                     for chunk in iter_normal_codes(n))
         assert total == 1 << n * n
+
+
+class TestColumnSorted:
+    """column_sorted and tie_weights: the census's second signature."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_kept_counts(self, n):
+        kept = sum(column_sorted(chunk, n)[0].size for chunk in iter_normal_codes(n))
+        assert kept == COUNTS_COLUMN_SORTED[n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_keeps_the_codes_a_key_sort_fixes(self, n):
+        # over every relation, not just normal forms
+        codes = np.arange(1 << n * n, dtype=np.uint64)
+        fixed = [c for c in codes.tolist()
+                 if key_sort(Relation.from_code(n, c)).to_code() == c]
+        assert column_sorted(codes, n)[0].tolist() == fixed
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pruned_weight_counts_the_normal_forms_sorting_to_it(self, n):
+        # sorting a normal form by key only reorders its runs of equal
+        # row signatures by column signature
+        preimages = Counter(key_sort(r).to_code()
+                            for r in relations_of(iter_normal_codes(n), n))
+        assert preimages == kept_weights(n, pruned=True)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_unpruned_weight_counts_the_relations_sorting_to_it(self, n):
+        preimages = Counter(key_sort(canonicalize(Relation.from_code(n, code))).to_code()
+                            for code in range(1 << n * n))
+        assert preimages == kept_weights(n, pruned=False)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_weights_sum_to_the_enumerations(self, n):
+        assert sum(kept_weights(n, pruned=True).values()) == golden.PRUNED_COUNTS[n]
+        assert sum(kept_weights(n, pruned=False).values()) == 1 << n * n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_unpruned_weight_is_pruned_weight_times_canonicalize_class(self, n):
+        # every normal form sorting to a kept code has its row signatures,
+        # so the same `canonicalize` class size
+        pruned, unpruned = tie_weights(n, True), tie_weights(n, False)
+        for chunk in iter_normal_codes(n):
+            codes, patterns = column_sorted(chunk, n)
+            want = normal_form_weights(codes, n) * [pruned[p] for p in patterns.tolist()]
+            assert [unpruned[p] for p in patterns.tolist()] == want.tolist()
 
 
 class TestVisitor:

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rellaws import NMAX, Relation, element_names
+from rellaws.relation import signatures
 
 relations = st.integers(1, NMAX).flatmap(
     lambda n: st.builds(Relation.from_code, st.just(n),
@@ -80,6 +82,24 @@ class TestEncoding:
 
     def test_text_uses_dots_for_absent(self):
         assert Relation.from_pairs(2, [(0, 1)]).to_text() == ".1\n.."
+
+
+class TestSignatures:
+    @pytest.mark.parametrize("n", range(1, NMAX + 1))
+    def test_count_the_cells_of_each_row_and_column(self, n):
+        rng = np.random.default_rng(n)
+        codes = np.append(rng.integers(0, 1 << n * n, size=200, dtype=np.uint64),
+                          np.uint64((1 << n * n) - 1))
+        pairs = list(signatures(codes, n))
+        assert len(pairs) == n
+        assert all(sig.dtype == np.uint8 for pair in pairs for sig in pair)
+        for i, code in enumerate(codes.tolist()):
+            r = Relation.from_code(n, code)
+            for x, (row, col) in enumerate(pairs):
+                loop = r.has(x, x)
+                out_deg = sum(r.has(x, y) for y in range(n) if y != x)
+                in_deg = sum(r.has(y, x) for y in range(n) if y != x)
+                assert (row[i], col[i]) == (2 * out_deg + loop, 2 * in_deg + loop), (n, code, x)
 
 
 class TestQueries:
