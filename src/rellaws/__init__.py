@@ -12,13 +12,10 @@ from .properties import (
     holds,
     parse_property,
     property_vector,
-    vector_properties,
 )
 from .enumeration import (
     RowSignature,
     canonicalize,
-    enumerate_all,
-    enumerate_normal,
     is_normal_form,
     normal_form_count,
     row_signature,
@@ -40,7 +37,7 @@ from .mining import (
     mine,
     parse_law_text,
 )
-from .redundancy import entails, flag_csv, implicant_clause, star_redundant
+from .redundancy import entails, flag_csv, star_redundant
 from .search import (
     LiteralConjunction,
     export_dot,
@@ -52,14 +49,14 @@ __all__ = [
     "NMAX", "Relation", "element_names",
     "DUAL", "KIND_REQUIREMENTS", "MINED_PROPERTIES", "VECTOR_BITS",
     "PropertyId", "RelationKind", "classify_kinds", "holds",
-    "parse_property", "property_vector", "vector_properties",
-    "RowSignature", "canonicalize", "enumerate_all", "enumerate_normal",
-    "is_normal_form", "normal_form_count", "row_signature",
+    "parse_property", "property_vector",
+    "RowSignature", "canonicalize", "is_normal_form", "normal_form_count",
+    "row_signature",
     "VectorCensus", "load_census", "save_census", "vector_census",
     "Implicant", "Law", "MineResult",
     "format_law", "law_line", "laws_from_csv", "laws_to_csv", "mine",
     "parse_law_text",
-    "entails", "flag_csv", "implicant_clause", "star_redundant",
+    "entails", "flag_csv", "star_redundant",
     "LiteralConjunction", "export_dot", "find_witness", "min_universe",
 ]
 

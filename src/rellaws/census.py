@@ -69,11 +69,13 @@ def bulk_holds(codes: np.ndarray, n: int,
     return {p: _holds(words, p) for p in props}
 
 
-def bulk_vectors(codes: np.ndarray, n: int) -> np.ndarray:
-    """24-bit property vectors for every code, as a uint32 array."""
+def bulk_vectors(codes: np.ndarray, n: int,
+                 props: Iterable[PropertyId] = MINED_PROPERTIES) -> np.ndarray:
+    """Property vectors for every code, as a uint32 array: bit p.value is set
+    iff p holds, for each p of props (by default the 24 vector properties)."""
     words = _words(codes, n)
     vecs = np.zeros(codes.shape[0], dtype=np.uint32)
-    for p in MINED_PROPERTIES:
+    for p in props:
         vecs |= _holds(words, p).astype(np.uint32) << np.uint32(p.value)
     return vecs
 

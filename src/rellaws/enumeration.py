@@ -30,13 +30,12 @@ per n, a run of tuples is expanded position by position, each partial
 code repeated once per row of its group there and that row ORed in. There
 is no per-tuple Python work and no filtering of the full space; runs are
 bounded to about `_EXPAND_CODES` codes and the stream is cut into chunks
-of exactly the chunk size. `enumerate_all` / `enumerate_normal` drive the
-generators to count the relations of each enumeration.
+of exactly the chunk size.
 
 Order contract:
 
-* `iter_all_codes` yields codes 0, 1, 2, ..., i.e. matrices ascending as
-  row-major bit strings with cell (0, 0) most significant.
+* the unpruned stream yields codes 0, 1, 2, ..., i.e. matrices ascending
+  as row-major bit strings with cell (0, 0) most significant.
 * `iter_normal_codes` yields normal forms grouped by their row-signature
   tuple: signature tuples ascend lexicographically, and within a tuple the
   concrete rows vary with the last row fastest, each row's patterns
@@ -231,17 +230,6 @@ def _check_args(n: int, chunk_size: int) -> None:
         raise ValueError(f"chunk size must be at least 1, got {chunk_size}")
 
 
-def iter_all_codes(n: int, chunk_size: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
-    """Every code 0 .. 2^(n*n)-1 in ascending order, as uint64 chunks."""
-    _check_args(n, chunk_size)
-    total = 1 << (n * n)
-    start = 0
-    while start < total:
-        stop = min(start + chunk_size, total)
-        yield np.arange(start, stop, dtype=np.uint64)
-        start = stop
-
-
 def iter_normal_codes(n: int, chunk_size: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
     """Every normal-form code in the documented order.
 
@@ -283,21 +271,11 @@ def iter_normal_codes(n: int, chunk_size: int = DEFAULT_CHUNK) -> Iterator[np.nd
 
 def iter_code_chunks(n: int, pruned: bool = False,
                      chunk_size: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
-    """Unified front for the two enumeration modes."""
-    return iter_normal_codes(n, chunk_size) if pruned else iter_all_codes(n, chunk_size)
-
-
-# -- counting ----------------------------------------------------------------
-
-def _count(chunks: Iterator[np.ndarray]) -> int:
-    return sum(int(chunk.size) for chunk in chunks)
-
-
-def enumerate_all(n: int) -> int:
-    """Stream every n x n relation code once, ascending; return 2^(n*n)."""
-    return _count(iter_all_codes(n))
-
-
-def enumerate_normal(n: int) -> int:
-    """Stream every normal-form code once, in the documented order; return the count."""
-    return _count(iter_normal_codes(n))
+    """The normal forms (pruned), or every code 0 .. 2^(n*n)-1 in ascending
+    order, as uint64 chunks of chunk_size codes; only the last may be shorter."""
+    if pruned:
+        return iter_normal_codes(n, chunk_size)
+    _check_args(n, chunk_size)
+    total = 1 << n * n
+    return (np.arange(start, min(start + chunk_size, total), dtype=np.uint64)
+            for start in range(0, total, chunk_size))

@@ -343,13 +343,6 @@ def property_vector(r: Relation) -> int:
     return vec
 
 
-def vector_properties(vec: int) -> list[PropertyId]:
-    """The properties named by a 24-bit vector, in bit order."""
-    if not 0 <= vec < 1 << VECTOR_BITS:
-        raise ValueError(f"vector 0x{vec:x} is not a 24-bit word")
-    return [p for p in MINED_PROPERTIES if vec >> p.value & 1]
-
-
 class RelationKind(enum.Enum):
     Equivalence = "equivalence"
     PartialEquivalence = "partial equivalence"

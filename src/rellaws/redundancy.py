@@ -25,16 +25,6 @@ def _as_implicant(law) -> Implicant:
     return law.implicant if isinstance(law, Law) else law
 
 
-def implicant_clause(imp: Implicant | Law) -> str:
-    """The law as a readable clause, e.g. '~ASym | Irrefl'."""
-    imp = _as_implicant(imp)
-    parts = []
-    for prop, positive in imp.literals():
-        # clause literal is the negation of the implicant literal
-        parts.append("~" + prop.name if positive else prop.name)
-    return " | ".join(parts)
-
-
 def _sat(clauses: list[tuple[int, int]], assigned: int, values: int) -> bool:
     """Is some total extension of the partial assignment a model of all clauses?
 

@@ -161,25 +161,7 @@ class Relation:
             rows.append(row)
         return cls(n, tuple(rows))
 
-    @classmethod
-    def empty(cls, n: int) -> "Relation":
-        check_n(n)
-        return cls(n, (0,) * n)
-
-    @classmethod
-    def universal(cls, n: int) -> "Relation":
-        check_n(n)
-        return cls(n, ((1 << n) - 1,) * n)
-
-    @classmethod
-    def identity(cls, n: int) -> "Relation":
-        check_n(n)
-        return cls(n, tuple(1 << x for x in range(n)))
-
     # -- basic queries -----------------------------------------------------
-
-    def has(self, x: int, y: int) -> bool:
-        return bool(self.rows[x] >> y & 1)
 
     def pairs(self) -> list[tuple[int, int]]:
         """All related pairs, ascending by (x, y)."""
@@ -187,25 +169,6 @@ class Relation:
                 for x in range(self.n)
                 for y in range(self.n)
                 if self.rows[x] >> y & 1]
-
-    def count(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
-
-    def column(self, y: int) -> int:
-        """The predecessors of y packed as a bit mask over x."""
-        return column_words(self.rows)[y]
-
-    def successors(self, x: int) -> set[int]:
-        """{y : x R y}"""
-        if not 0 <= x < self.n:
-            raise ValueError(f"element {x} outside universe of size {self.n}")
-        return {y for y in range(self.n) if self.rows[x] >> y & 1}
-
-    def predecessors(self, y: int) -> set[int]:
-        """{x : x R y}"""
-        if not 0 <= y < self.n:
-            raise ValueError(f"element {y} outside universe of size {self.n}")
-        return {x for x in range(self.n) if self.rows[x] >> y & 1}
 
     # -- derived relations -------------------------------------------------
 

@@ -9,10 +9,10 @@ Two modes with very different claims:
   is the first one in `iter_normal_codes` order. A size whose whole
   normal-form stream fits in one chunk (n <= 4, 6 322 codes together) is
   evaluated once per process into a read-only table of codes and 26-bit
-  property vectors, and each query there is one mask test over it; larger
-  sizes are scanned chunk by chunk, evaluating only the query's
-  properties. Rejected for n >= 7, where the normal-form space itself is
-  in the hundreds of billions.
+  property vectors; larger sizes are scanned chunk by chunk, evaluating
+  only the query's properties. Either way the query's (mask, value) cube
+  is tested on each block of vectors. Rejected for n >= 7, where the
+  normal-form space itself is in the hundreds of billions.
 * heuristic: seeded random fills that bake the query's structural literals
   (diagonal state, pair orientation) into the sampled shape, plus greedy
   repair of near misses, under a score-evaluation budget. Finding a witness
@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .census import bulk_holds
+from .census import bulk_vectors
 from .enumeration import DEFAULT_CHUNK, NORMAL_MAX_N, iter_normal_codes, normal_form_count
 from .properties import DUAL, PropertyId, holds, parse_property, violations
 from .relation import Relation, check_n, column_words, element_names
@@ -65,6 +65,15 @@ class LiteralConjunction:
     def properties(self) -> list[PropertyId]:
         return sorted(self.pos | self.neg, key=lambda p: p.value)
 
+    @property
+    def mask(self) -> int:
+        """Bits of the query's properties: u satisfies it iff u & mask == value."""
+        return sum(1 << p.value for p in self.pos | self.neg)
+
+    @property
+    def value(self) -> int:
+        return sum(1 << p.value for p in self.pos)
+
     def dual(self) -> "LiteralConjunction":
         """The query satisfied by exactly the converses of this query's witnesses."""
         return LiteralConjunction(frozenset(DUAL[p] for p in self.pos),
@@ -94,9 +103,7 @@ def _table(n: int) -> _Table:
     """Every normal form of a size whose stream is one chunk, with the
     vector of all 26 properties; read-only, since every query shares it."""
     (codes,) = iter_normal_codes(n)
-    vectors = np.zeros(codes.shape, dtype=np.uint32)
-    for p, ok in bulk_holds(codes, n, PropertyId).items():
-        vectors |= ok.astype(np.uint32) << np.uint32(p.value)
+    vectors = bulk_vectors(codes, n, PropertyId)
     codes.setflags(write=False)
     vectors.setflags(write=False)
     return _Table(codes, vectors)
@@ -106,22 +113,17 @@ def _first_code(n: int, query: LiteralConjunction) -> int | None:
     """The first normal-form code of n, in stream order, that satisfies the
     query by the bulk predicates, or None."""
     if normal_form_count(n) <= DEFAULT_CHUNK:
-        codes, vectors = _table(n)
-        mask = sum(1 << p.value for p in query.pos | query.neg)
-        value = sum(1 << p.value for p in query.pos)
+        blocks = [_table(n)]
+    else:
+        props = query.properties()
+        blocks = ((chunk, bulk_vectors(chunk, n, props))
+                  for chunk in iter_normal_codes(n))
+    mask, value = query.mask, query.value
+    for codes, vectors in blocks:
         hits = np.flatnonzero((vectors & mask) == value)
-        return int(codes[hits[0]]) if hits.size else None
-    props = query.properties()
-    for chunk in iter_normal_codes(n):
-        results = bulk_holds(chunk, n, props)
-        ok = np.ones(chunk.shape, dtype=bool)
-        for p in query.pos:
-            ok &= results[p]
-        for p in query.neg:
-            ok &= ~results[p]
-        hits = np.flatnonzero(ok)
         if hits.size:
-            return int(chunk[hits[0]])
+            return int(codes[hits[0]])
+        del codes, vectors  # free this block before the next one is built
     return None
 
 

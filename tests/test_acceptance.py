@@ -36,8 +36,6 @@ from rellaws import (
     Relation,
     canonicalize,
     entails,
-    enumerate_all,
-    enumerate_normal,
     find_witness,
     golden,
     holds,
@@ -48,7 +46,7 @@ from rellaws import (
     vector_census,
 )
 from rellaws.census import bulk_holds
-from rellaws.enumeration import iter_all_codes
+from rellaws.enumeration import iter_code_chunks
 
 
 @pytest.fixture(scope="module")
@@ -71,9 +69,12 @@ def mined(pruned_census):
 
 
 def test_criterion_1_relation_counts():
+    def count(n, pruned):
+        return sum(chunk.size for chunk in iter_code_chunks(n, pruned))
+
     start = time.perf_counter()
-    unpruned = {n: enumerate_all(n) for n in range(1, 6)}
-    pruned = {n: enumerate_normal(n) for n in range(1, 6)}
+    unpruned = {n: count(n, False) for n in range(1, 6)}
+    pruned = {n: count(n, True) for n in range(1, 6)}
     elapsed = time.perf_counter() - start
     assert unpruned == {n: golden.UNPRUNED_COUNTS[n] for n in range(1, 6)}
     assert pruned == {n: golden.PRUNED_COUNTS[n] for n in range(1, 6)}
@@ -148,16 +149,20 @@ def test_criterion_7_redundancy(mined):
     # oracle: exhaustive assignment enumeration via coverage counting.
     # a law is entailed by the others iff every assignment in its cube
     # violates at least one other law, i.e. is covered at least twice.
-    universe = np.arange(1 << 24, dtype=np.uint32)
-    coverage = np.zeros(1 << 24, dtype=np.uint16)
-    for law in result.laws:
-        coverage[(universe & law.implicant.mask) == law.implicant.value] += 1
-    oracle = [
-        int(coverage[(universe & law.implicant.mask)
-                     == law.implicant.value].min()) >= 2
-        for law in result.laws
-    ]
+    # The 2^24 assignments are the cells of a (2,) * 24 array, axis i
+    # holding bit 23 - i, so a cube is a basic slice: its literals fix
+    # their axes and every other axis is whole.
+    def cube(imp):
+        return tuple(imp.value >> b & 1 if imp.mask >> b & 1 else slice(None)
+                     for b in reversed(range(24)))
+
+    cubes = [cube(law.implicant) for law in result.laws]
+    coverage = np.zeros((2,) * 24, dtype=np.uint16)
+    for c in cubes:
+        coverage[c] += 1
+    oracle = [int(coverage[c].min()) >= 2 for c in cubes]
     assert oracle == star_redundant(result.laws)
+    assert sum(oracle) == 166
 
     # law 006 is entailed by the other 273 laws; the oracle above agrees
     others = [law for law in result.laws if law.seq != 6]
@@ -266,7 +271,7 @@ def test_criterion_9_property_invariants():
     P = PropertyId
     checked = 0
     for n in range(1, 5):
-        for codes in iter_all_codes(n):
+        for codes in iter_code_chunks(n, pruned=False):
             b = bulk_holds(codes, n, list(P))
             implications = [
                 (b[P.ASym], b[P.Irrefl]),

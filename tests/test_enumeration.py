@@ -13,16 +13,14 @@ from rellaws import (
     golden,
     RowSignature,
     canonicalize,
-    enumerate_all,
-    enumerate_normal,
     is_normal_form,
     normal_form_count,
     property_vector,
     row_signature,
 )
 from rellaws.enumeration import (
+    DEFAULT_CHUNK,
     column_sorted,
-    iter_all_codes,
     iter_code_chunks,
     iter_normal_codes,
     signature_tuples,
@@ -45,6 +43,16 @@ COUNTS_COLUMN_SORTED = {1: 2, 2: 10, 3: 108, 4: 3674, 5: 402840}
 SHA256_NORMAL_5 = "e3e833e832f177e67c83f09b9256421d06966e702a21858c89033059a1e1ed4c"
 SHA256_NORMAL_6_FIRST_TWO_CHUNKS = (
     "f96afb95e7444934f4c311f3755523c8d5ff8b6f4d296eb51de85a1362c96a26")
+
+
+def iter_all_codes(n, chunk_size=DEFAULT_CHUNK):
+    """The unpruned stream: every code 0 .. 2^(n*n)-1, ascending."""
+    return iter_code_chunks(n, pruned=False, chunk_size=chunk_size)
+
+
+def stream_size(chunks):
+    """The number of codes a code stream yields, drained chunk by chunk."""
+    return sum(chunk.size for chunk in chunks)
 
 
 def normal_form_mask(codes, n):
@@ -160,11 +168,11 @@ class TestCanonicalize:
 class TestCounts:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_enumerate_all(self, n):
-        assert enumerate_all(n) == COUNTS_ALL[n]
+        assert stream_size(iter_all_codes(n)) == COUNTS_ALL[n]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_enumerate_normal(self, n):
-        assert enumerate_normal(n) == COUNTS_NORMAL[n]
+        assert stream_size(iter_normal_codes(n)) == COUNTS_NORMAL[n]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_closed_form_matches(self, n):
@@ -174,14 +182,14 @@ class TestCounts:
 
     def test_bounds(self):
         with pytest.raises(ValueError):
-            enumerate_all(0)
+            next(iter_code_chunks(0, pruned=False))
         with pytest.raises(ValueError):
-            enumerate_normal(9)
+            next(iter_code_chunks(9, pruned=True))
 
     @pytest.mark.parametrize("stream", [iter_all_codes, iter_normal_codes])
     @pytest.mark.parametrize("chunk_size", [0, -3])
     def test_rejects_chunk_size_below_one(self, stream, chunk_size):
-        # next() only: a chunk size of 0 used to make iter_all_codes yield
+        # next() only: a chunk size of 0 used to make the unpruned stream yield
         # empty chunks forever
         with pytest.raises(ValueError):
             next(stream(2, chunk_size))
@@ -241,7 +249,7 @@ class TestGeneration:
 
 
 class TestOrder:
-    """The enumerate_normal order, which defines "first witness"."""
+    """The normal-form stream's order, which defines "first witness"."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stream_order_from_filtering(self, n):
@@ -348,13 +356,14 @@ class TestVisitor:
 
     def test_visitor_sees_every_relation_once(self):
         seen = relations_of(iter_all_codes(2), 2)
-        assert enumerate_all(2) == len(seen) == 16
+        assert stream_size(iter_code_chunks(2, pruned=False)) == len(seen) == 16
         assert len({r.to_code() for r in seen}) == 16
 
     def test_normal_visitor_sees_normal_forms(self):
         seen = relations_of(iter_normal_codes(3), 3)
-        assert enumerate_normal(3) == len(seen) == 140
+        assert stream_size(iter_code_chunks(3, pruned=True)) == len(seen) == 140
         assert all(is_normal_form(r) for r in seen)
 
     def test_counts_agree_with_and_without_visitor(self):
-        assert enumerate_normal(3) == len(relations_of(iter_normal_codes(3), 3))
+        assert (stream_size(iter_code_chunks(3, pruned=True))
+                == len(relations_of(iter_normal_codes(3), 3)))

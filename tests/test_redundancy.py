@@ -16,7 +16,6 @@ from rellaws import (
     PropertyId,
     entails,
     flag_csv,
-    implicant_clause,
     laws_to_csv,
     star_redundant,
 )
@@ -40,21 +39,6 @@ def imp(positive=(), negative=()):
 def implies(premise, conclusion):
     """The law 'premise implies conclusion' forbids premise AND NOT conclusion."""
     return imp(positive=[premise], negative=[conclusion])
-
-
-class TestClauseText:
-    def test_clause_negates_the_cube(self):
-        law = imp(positive=[PropertyId.ASym.bit],
-                  negative=[PropertyId.Irrefl.bit])
-        assert implicant_clause(law) == "~ASym | Irrefl"
-
-    def test_accepts_law_wrapper(self):
-        law = Law(7, imp(positive=[PropertyId.Sym.bit, PropertyId.Trans.bit]))
-        assert implicant_clause(law) == "~Sym | ~Trans"
-
-    def test_literals_ascend_by_bit(self):
-        law = imp(negative=[PropertyId.RgSerial.bit, PropertyId.Empty.bit])
-        assert implicant_clause(law) == "Empty | RgSerial"
 
 
 class TestEntails:

@@ -53,6 +53,14 @@ class TestLiteralConjunction:
         assert q.properties() == [
             PropertyId.Empty, PropertyId.Trans, PropertyId.RgSerial]
 
+    def test_cube_over_the_26_bits(self):
+        q = query(["Refl", "RgQuasiRefl"], ["Empty"])
+        P = PropertyId
+        assert q.mask == 1 << P.Refl.value | 1 << P.RgQuasiRefl.value | 1 << P.Empty.value
+        assert q.value == 1 << P.Refl.value | 1 << P.RgQuasiRefl.value
+        # properties, not fields: equality and repr see only the literals
+        assert repr(q) == f"LiteralConjunction(pos={q.pos!r}, neg={q.neg!r})"
+
     def test_dual_swaps_sided_properties(self):
         q = query(["LfSerial", "Refl"], ["RgUnique"])
         d = q.dual()
@@ -232,16 +240,16 @@ def naive_satisfies(q, r):
             and not any(naive_holds(r, p) for p in q.neg))
 
 
-def counting_bulk_holds(monkeypatch):
-    """Patch the search's `bulk_holds`; the returned list gets the universe
+def counting_bulk_vectors(monkeypatch):
+    """Patch the search's `bulk_vectors`; the returned list gets the universe
     size of every call."""
     sizes = []
-    real = search.bulk_holds
+    real = search.bulk_vectors
 
     def counted(codes, n, props):
         sizes.append(n)
         return real(codes, n, props)
-    monkeypatch.setattr(search, "bulk_holds", counted)
+    monkeypatch.setattr(search, "bulk_vectors", counted)
     return sizes
 
 
@@ -279,7 +287,7 @@ class TestSmallSizeTable:
             assert find_witness(n, q) == expect
 
     def test_one_evaluation_per_size(self, monkeypatch):
-        sizes = counting_bulk_holds(monkeypatch)
+        sizes = counting_bulk_vectors(monkeypatch)
         rng = random.Random(5)
         props = list(PropertyId)
         queries = [query(["Refl", "ASym"])]  # absent, so every size is visited
@@ -291,7 +299,7 @@ class TestSmallSizeTable:
         assert Counter(sizes) == {1: 1, 2: 1, 3: 1, 4: 1}
 
     def test_larger_sizes_scan_chunk_by_chunk(self, monkeypatch, search_memo):
-        sizes = counting_bulk_holds(monkeypatch)
+        sizes = counting_bulk_vectors(monkeypatch)
         assert find_witness(5, query(["ASym", "Dense"], ["Empty"])) is None
         chunks = -(-normal_form_count(5) // DEFAULT_CHUNK)
         assert sizes == [5] * chunks
